@@ -1,17 +1,15 @@
-// Fast-path fidelity gate (ISSUE 9): the int8 GEMM route and the
-// distilled few-step sampler trade numerics for speed, so this bench
-// proves they do not trade away fidelity. It reruns the Table-2 RF
-// scenarios (Real/Synthetic and Synthetic/Real, nprint granularity) on
-// synthetic data from each fast configuration and FAILS (exit 1) if any
-// accuracy drops more than REPRO_FIDELITY_EPS (default 0.02) absolute
-// below the fp32 / DDIM-20 baseline generated from the same fitted
-// pipeline. check.sh runs this as the `fastpath` stage.
+// Fast-path fidelity gate: the distilled few-step sampler trades
+// numerics for speed, so this bench proves it does not trade away
+// fidelity. It reruns the Table-2 RF scenarios (Real/Synthetic and
+// Synthetic/Real, nprint granularity) on synthetic data from each route
+// and FAILS (exit 1) if any accuracy drops more than REPRO_FIDELITY_EPS
+// (default 0.02) absolute below the fp32 / DDIM-20 baseline generated
+// from the same fitted pipeline. check.sh runs this as the `fastpath`
+// stage.
 //
-// Configurations compared (same pipeline, same seeds, same real split):
+// Routes compared (same pipeline, same seeds, same real split):
 //   fp32_ddim20   — the reference route (baseline)
-//   int8_ddim20   — quantized GEMMs, full-length sampler
-//   fp32_distill5 — fp32 GEMMs, 5-step distilled sampler
-//   int8_distill5 — both fast paths stacked
+//   fp32_distill5 — 5-step distilled sampler
 #include "bench_common.hpp"
 
 #include <cstdio>
@@ -27,7 +25,6 @@ namespace {
 
 struct RouteConfig {
   const char* key;
-  nn::Precision precision;
   diffusion::SamplerKind sampler;
   std::size_t steps;
 };
@@ -91,7 +88,6 @@ int main() {
   dcfg.calibration_count = 8;
   dcfg.options = bench::generate_options(scale);
   const std::size_t stages = pipeline.distill(dcfg);
-  pipeline.prepare_quantized();
   std::printf("distilled %zu stages; step counts:", stages);
   for (const std::size_t s : pipeline.distilled_step_counts()) {
     std::printf(" %zu", s);
@@ -99,12 +95,8 @@ int main() {
   std::printf("\n");
 
   const RouteConfig routes[] = {
-      {"fp32_ddim20", nn::Precision::kFp32, diffusion::SamplerKind::kDdim, 20},
-      {"int8_ddim20", nn::Precision::kInt8, diffusion::SamplerKind::kDdim, 20},
-      {"fp32_distill5", nn::Precision::kFp32,
-       diffusion::SamplerKind::kDistilled, distilled_steps},
-      {"int8_distill5", nn::Precision::kInt8,
-       diffusion::SamplerKind::kDistilled, distilled_steps},
+      {"fp32_ddim20", diffusion::SamplerKind::kDdim, 20},
+      {"fp32_distill5", diffusion::SamplerKind::kDistilled, distilled_steps},
   };
 
   const eval::ScenarioConfig sc = bench::scenario_config(scale);
@@ -116,7 +108,6 @@ int main() {
     diffusion::GenerateOptions opts = bench::generate_options(scale);
     opts.sampler = route.sampler;
     opts.ddim_steps = route.steps;
-    opts.precision = route.precision;
     const flowgen::Dataset syn = pipeline.generate_dataset(
         std::vector<std::size_t>(flowgen::kNumApps, scale.syn_per_class),
         opts);

@@ -8,12 +8,11 @@
 //   * DDIM at 50 / 20 / 10 / 5 steps,
 //   * classifier-free guidance on/off (2x evaluations per step),
 //   * the GAN baseline (single forward pass — the speed bar to meet),
-//   * the fast inference path (int8 GEMM route x distilled few-step
-//     sampler) in all four combinations — flows_per_s_{fp32,int8}_
-//     {ddim20,distilled} are the headline keys the fidelity gate and
-//     README speedup table read,
+//   * the fast inference path (distilled few-step sampler) against
+//     guided DDIM-20 — flows_per_s_fp32_{ddim20,distilled} are the
+//     headline keys the README speedup table reads,
 // plus the decode path (latent -> nprint -> packets) on its own and a
-// per-step U-Net latency histogram (fp32 vs int8).
+// per-step U-Net latency histogram.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -36,7 +35,7 @@ std::map<std::string, double>& flow_rates() {
   return rates;
 }
 
-/// Per-step U-Net latency snapshots (fp32 / int8), published into the
+/// Per-step U-Net latency snapshots, published into the
 /// report as step_ms_<route>_{mean,p50,p90,p99,max} after the run.
 std::map<std::string, telemetry::HistogramSnapshot>& step_histograms() {
   static std::map<std::string, telemetry::HistogramSnapshot> hists;
@@ -72,9 +71,6 @@ diffusion::TraceDiffusion& shared_pipeline() {
       dcfg.calibration_count = 4;
       dcfg.options.template_strength = 1.0f;
       pipeline.distill(dcfg);
-      // Quantize the weight caches eagerly so the first int8 benchmark
-      // iteration doesn't pay calibration inside the timed region.
-      pipeline.prepare_quantized();
     }
     static diffusion::PipelineConfig make_config() {
       bench::Scale scale;
@@ -94,15 +90,13 @@ diffusion::TraceDiffusion& shared_pipeline() {
 
 void run_generation(benchmark::State& state, const std::string& rate_key,
                     diffusion::SamplerKind sampler, std::size_t steps,
-                    float guidance,
-                    nn::Precision precision = nn::Precision::kFp32) {
+                    float guidance) {
   auto& pipeline = shared_pipeline();
   diffusion::GenerateOptions opts;
   opts.count = 1;
   opts.sampler = sampler;
   opts.ddim_steps = steps;
   opts.guidance_scale = guidance;
-  opts.precision = precision;
   // Measure the pure samplers over the full schedule (one-shot template
   // guidance shortens the trajectory and would confound the comparison).
   opts.template_strength = 1.0f;
@@ -145,40 +139,29 @@ void BM_DdimNoGuidance(benchmark::State& state) {
 }
 BENCHMARK(BM_DdimNoGuidance)->Arg(20)->Arg(10)->Unit(benchmark::kMillisecond);
 
-// --- Fast inference path (ISSUE 9): int8 GEMM route x distilled
-// few-step sampler, benchmarked in all four combinations with guidance
-// on (the guided DDIM-20 fp32 rate is the PR-4 baseline the acceptance
-// criterion compares against).
+// --- Fast inference path: the distilled 5-step sampler against guided
+// DDIM-20, both with guidance on.
 void BM_FastPath(benchmark::State& state) {
-  const bool int8 = state.range(0) != 0;
-  const bool distilled = state.range(1) != 0;
-  const std::string key = std::string(int8 ? "int8" : "fp32") + "_" +
-                          (distilled ? "distilled" : "ddim20");
-  run_generation(
-      state, key,
-      distilled ? diffusion::SamplerKind::kDistilled
-                : diffusion::SamplerKind::kDdim,
-      distilled ? 5 : 20, 2.0f,
-      int8 ? nn::Precision::kInt8 : nn::Precision::kFp32);
+  const bool distilled = state.range(0) != 0;
+  run_generation(state, distilled ? "fp32_distilled" : "fp32_ddim20",
+                 distilled ? diffusion::SamplerKind::kDistilled
+                           : diffusion::SamplerKind::kDdim,
+                 distilled ? 5 : 20, 2.0f);
 }
-BENCHMARK(BM_FastPath)
-    ->ArgsProduct({{0, 1}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FastPath)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// Per-step U-Net latency on the bare eps evaluation: every forward in
 /// a DDIM-20 trajectory is timed individually into a log-bucket
-/// histogram, fp32 vs int8, so the report shows the step-latency
-/// distribution (not just throughput means).
-void run_step_latency(benchmark::State& state, const std::string& key,
-                      nn::Precision precision) {
+/// histogram, so the report shows the step-latency distribution (not
+/// just throughput means).
+void BM_StepLatency(benchmark::State& state) {
   auto& pipeline = shared_pipeline();
-  auto& unet = pipeline.unet();
+  const diffusion::UNet1d& unet = pipeline.unet();
   const auto& cfg = pipeline.config();
   const diffusion::NoiseSchedule schedule(cfg.timesteps, cfg.schedule);
   const std::vector<int> class_ids(1, 0);
   telemetry::Histogram hist(
       telemetry::Histogram::exponential_bounds(1e-2, 1e4, 28));  // ms
-  unet.set_precision(precision);
   diffusion::EpsFn eps_fn = [&](const nn::Tensor& x, std::size_t t) {
     const std::vector<float> timesteps(x.dim(0), static_cast<float>(t));
     const auto start = std::chrono::steady_clock::now();
@@ -195,19 +178,13 @@ void run_step_latency(benchmark::State& state, const std::string& key,
     auto out = diffusion::ddim_sample(eps_fn, schedule, shape, 20, 0.0f, rng);
     benchmark::DoNotOptimize(out);
   }
-  unet.set_precision(nn::Precision::kFp32);
   const telemetry::HistogramSnapshot snap = hist.snapshot();
-  step_histograms()[key] = snap;
+  step_histograms()["fp32"] = snap;
   state.counters["step_ms_p50"] = snap.quantile(0.5);
   state.counters["step_ms_p99"] = snap.quantile(0.99);
 }
 
-void BM_StepLatency(benchmark::State& state) {
-  const bool int8 = state.range(0) != 0;
-  run_step_latency(state, int8 ? "int8" : "fp32",
-                   int8 ? nn::Precision::kInt8 : nn::Precision::kFp32);
-}
-BENCHMARK(BM_StepLatency)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StepLatency)->Unit(benchmark::kMillisecond);
 
 void BM_GanBaselineSampling(benchmark::State& state) {
   // Function-local static object (not a leaked raw `new`).

@@ -41,6 +41,12 @@ ctest --test-dir "$BUILD_DIR" -L serve --output-on-failure
 echo "== socket front-end (label: serve_net) =="
 ctest --test-dir "$BUILD_DIR" -L serve_net --output-on-failure
 
+echo "== lane determinism, repeated (ShardTest x20) =="
+# The lanes share one model through its const sampling path; a write to
+# shared model state shows up here as a flaky byte mismatch or crash.
+ctest --test-dir "$BUILD_DIR" -R ShardTest --repeat until-fail:20 \
+  --output-on-failure
+
 echo "== flight recorder gate (selftest -> dump -> inspect) =="
 FLIGHTREC_DUMP="$BUILD_DIR/check_flightrec.json"
 "$BUILD_DIR/tools/repro_served" --selftest --requests 12 --steps 4 \
@@ -62,15 +68,15 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 echo "== bench smoke (label: bench) =="
 ctest --test-dir "$BUILD_DIR" -L bench --output-on-failure
 
-echo "== fastpath fidelity gate (int8 + distilled vs fp32/DDIM-20) =="
-# Shrunken-but-real run of the fast-path fidelity gate: the int8 GEMM
-# route and the distilled few-step sampler must stay within
-# REPRO_FIDELITY_EPS (0.02 default) of the fp32/DDIM-20 baseline on the
-# Table-2 RF scenarios. The binary exits 1 on violation. The run is
-# fully deterministic (fixed seeds, lane-invariant kernels), and the
-# scale is the smallest where the RF-seed-averaged scores resolve the
-# 0.02 eps: 32 synthetic flows/class, 5 RF seeds per scenario, and
-# enough training that the distilled student tracks its teacher.
+echo "== fastpath fidelity gate (distilled-5 vs fp32/DDIM-20) =="
+# Shrunken-but-real run of the fast-path fidelity gate: the distilled
+# few-step sampler must stay within REPRO_FIDELITY_EPS (0.02 default) of
+# the fp32/DDIM-20 baseline on the Table-2 RF scenarios. The binary exits
+# 1 on violation. The run is fully deterministic (fixed seeds,
+# lane-invariant kernels), and the scale is the smallest where the
+# RF-seed-averaged scores resolve the 0.02 eps: 32 synthetic flows/class,
+# 5 RF seeds per scenario, and enough training that the distilled
+# student tracks its teacher.
 REPRO_PACKETS=16 REPRO_FLOWS_PER_CLASS=30 REPRO_TRAIN_PER_CLASS=20 \
   REPRO_SYN_PER_CLASS=32 REPRO_AE_EPOCHS=14 REPRO_DIFF_EPOCHS=10 \
   REPRO_CTRL_EPOCHS=4 REPRO_RF_TREES=40 REPRO_FIDELITY_RF_REPEATS=5 \

@@ -40,12 +40,33 @@ std::vector<float> PacketAutoencoder::column_weights() const {
   return weights;
 }
 
+template <class Self>
+nn::Tensor PacketAutoencoder::encode_graph(Self& self,
+                                           const nn::Tensor& rows) {
+  return self.enc2_.forward(self.enc_act_.forward(self.enc1_.forward(rows)));
+}
+
+template <class Self>
+nn::Tensor PacketAutoencoder::decode_graph(Self& self,
+                                           const nn::Tensor& latents) {
+  return self.dec2_.forward(
+      self.dec_act_.forward(self.dec1_.forward(latents)));
+}
+
+nn::Tensor PacketAutoencoder::encode(const nn::Tensor& rows) const {
+  return encode_graph(*this, rows);
+}
+
 nn::Tensor PacketAutoencoder::encode(const nn::Tensor& rows) {
-  return enc2_.forward(enc_act_.forward(enc1_.forward(rows)));
+  return encode_graph(*this, rows);
+}
+
+nn::Tensor PacketAutoencoder::decode(const nn::Tensor& latents) const {
+  return decode_graph(*this, latents);
 }
 
 nn::Tensor PacketAutoencoder::decode(const nn::Tensor& latents) {
-  return dec2_.forward(dec_act_.forward(dec1_.forward(latents)));
+  return decode_graph(*this, latents);
 }
 
 float PacketAutoencoder::train_step(const nn::Tensor& rows,
@@ -101,7 +122,7 @@ float PacketAutoencoder::train(const nn::Tensor& rows, std::size_t epochs,
   return last_epoch_loss;
 }
 
-float PacketAutoencoder::reconstruction_loss(const nn::Tensor& rows) {
+float PacketAutoencoder::reconstruction_loss(const nn::Tensor& rows) const {
   nn::Tensor recon = decode(encode(rows));
   nn::Tensor grad;
   return nn::mse_loss(recon, rows, grad);
@@ -115,7 +136,8 @@ std::vector<nn::Parameter*> PacketAutoencoder::parameters() {
   return params;
 }
 
-nn::Tensor PacketAutoencoder::encode_matrix(const nprint::Matrix& matrix) {
+nn::Tensor PacketAutoencoder::encode_matrix(
+    const nprint::Matrix& matrix) const {
   REPRO_SPAN("diffusion.ae.encode_matrix");
   const std::size_t l = matrix.rows();
   nn::Tensor rows({l, config_.input_dim});
@@ -130,12 +152,13 @@ nn::Tensor PacketAutoencoder::encode_matrix(const nprint::Matrix& matrix) {
   return out;
 }
 
-nprint::Matrix PacketAutoencoder::decode_matrix(const nn::Tensor& latent) {
+nprint::Matrix PacketAutoencoder::decode_matrix(
+    const nn::Tensor& latent) const {
   return std::move(decode_matrices(latent).front());
 }
 
 std::vector<nprint::Matrix> PacketAutoencoder::decode_matrices(
-    const nn::Tensor& latents) {
+    const nn::Tensor& latents) const {
   REPRO_SPAN("diffusion.ae.decode_matrix");
   const std::size_t n = latents.dim(0);
   const std::size_t l = latents.dim(2);

@@ -35,9 +35,13 @@ class PacketAutoencoder {
 
   const AutoencoderConfig& config() const noexcept { return config_; }
 
-  /// rows: [R, input_dim] -> [R, latent_dim].
+  /// rows: [R, input_dim] -> [R, latent_dim]. The const overloads are
+  /// the read-only forwards; the others are the training entries that
+  /// record for backward (nn/module.hpp).
+  nn::Tensor encode(const nn::Tensor& rows) const;
   nn::Tensor encode(const nn::Tensor& rows);
   /// latents: [R, latent_dim] -> [R, input_dim].
+  nn::Tensor decode(const nn::Tensor& latents) const;
   nn::Tensor decode(const nn::Tensor& latents);
 
   /// One reconstruction-training step on a batch of rows; returns the MSE.
@@ -49,20 +53,26 @@ class PacketAutoencoder {
               std::size_t batch_size, float lr, Rng& rng);
 
   /// Mean reconstruction MSE over rows (no training).
-  float reconstruction_loss(const nn::Tensor& rows);
+  float reconstruction_loss(const nn::Tensor& rows) const;
 
   std::vector<nn::Parameter*> parameters();
 
   /// Encodes an nprint matrix to a [1, latent, L] tensor (and back).
-  nn::Tensor encode_matrix(const nprint::Matrix& matrix);
-  nprint::Matrix decode_matrix(const nn::Tensor& latent);
+  nn::Tensor encode_matrix(const nprint::Matrix& matrix) const;
+  nprint::Matrix decode_matrix(const nn::Tensor& latent) const;
 
   /// Batched decode: [N, latent, L] -> N matrices through ONE decoder
   /// pass over all N*L packet rows (amortizes the per-call GEMM cost
   /// that dominates a row-wise decode loop).
-  std::vector<nprint::Matrix> decode_matrices(const nn::Tensor& latents);
+  std::vector<nprint::Matrix> decode_matrices(const nn::Tensor& latents) const;
 
  private:
+  /// The encoder and decoder graphs, written once for both overloads.
+  template <class Self>
+  static nn::Tensor encode_graph(Self& self, const nn::Tensor& rows);
+  template <class Self>
+  static nn::Tensor decode_graph(Self& self, const nn::Tensor& latents);
+
   /// Per-column loss weights (mean 1); all-ones when region_weighting is
   /// off or input_dim is not the nprint layout.
   std::vector<float> column_weights() const;

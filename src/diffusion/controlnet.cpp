@@ -36,35 +36,51 @@ ControlNetBranch::ControlNetBranch(const UNetConfig& config, Rng& rng)
   zero_m_.zero_init();
 }
 
-ControlResiduals ControlNetBranch::forward(const nn::Tensor& x,
-                                           const std::vector<float>& timesteps,
-                                           const std::vector<int>& class_ids,
-                                           const nn::Tensor& hint) {
-  n_ = x.dim(0);
-  sin_emb_ = nn::sinusoidal_embedding(timesteps, config_.temb_dim);
-  nn::Tensor temb =
-      time_mlp2_.forward(time_act_.forward(time_mlp1_.forward(sin_emb_)));
+template <class Self>
+ControlResiduals ControlNetBranch::graph(Self& self, const nn::Tensor& x,
+                                         const std::vector<float>& timesteps,
+                                         const std::vector<int>& class_ids,
+                                         const nn::Tensor& hint) {
+  const nn::Tensor sin_emb =
+      nn::sinusoidal_embedding(timesteps, self.config_.temb_dim);
+  nn::Tensor temb = self.time_mlp2_.forward(
+      self.time_act_.forward(self.time_mlp1_.forward(sin_emb)));
   nn::Tensor ids({class_ids.size()});
   for (std::size_t i = 0; i < class_ids.size(); ++i) {
     ids[i] = static_cast<float>(class_ids[i]);
   }
-  temb.add(class_embedding_.forward(ids));
+  temb.add(self.class_embedding_.forward(ids));
 
-  nn::Tensor h = conv_in_.forward(x);
-  h.add(hint_conv2_.forward(hint_act_.forward(hint_conv1_.forward(hint))));
-  nn::Tensor d1 = res_d1_.forward(h, temb);
-  nn::Tensor d2 = res_d2_.forward(down1_.forward(d1), temb);
-  nn::Tensor m = res_m_.forward(down2_.forward(d2), temb);
+  nn::Tensor h = self.conv_in_.forward(x);
+  h.add(self.hint_conv2_.forward(
+      self.hint_act_.forward(self.hint_conv1_.forward(hint))));
+  nn::Tensor d1 = self.res_d1_.forward(h, temb);
+  nn::Tensor d2 = self.res_d2_.forward(self.down1_.forward(d1), temb);
+  nn::Tensor m = self.res_m_.forward(self.down2_.forward(d2), temb);
 
   ControlResiduals out;
-  out.skip1 = zero1_.forward(d1);
-  out.skip2 = zero2_.forward(d2);
-  out.mid = zero_m_.forward(m);
+  out.skip1 = self.zero1_.forward(d1);
+  out.skip2 = self.zero2_.forward(d2);
+  out.mid = self.zero_m_.forward(m);
   return out;
 }
 
+ControlResiduals ControlNetBranch::forward(const nn::Tensor& x,
+                                           const std::vector<float>& timesteps,
+                                           const std::vector<int>& class_ids,
+                                           const nn::Tensor& hint) const {
+  return graph(*this, x, timesteps, class_ids, hint);
+}
+
+ControlResiduals ControlNetBranch::forward(const nn::Tensor& x,
+                                           const std::vector<float>& timesteps,
+                                           const std::vector<int>& class_ids,
+                                           const nn::Tensor& hint) {
+  return graph(*this, x, timesteps, class_ids, hint);
+}
+
 void ControlNetBranch::backward(const ControlResiduals& grad_residuals) {
-  nn::Tensor grad_temb({n_, config_.temb_dim});
+  nn::Tensor grad_temb({grad_residuals.mid.dim(0), config_.temb_dim});
 
   nn::Tensor gm = zero_m_.backward(grad_residuals.mid);
   nn::Tensor gd2 = down2_.backward(res_m_.backward(gm, grad_temb));
@@ -127,35 +143,6 @@ nn::Tensor protocol_hint(const net::Flow& flow, std::size_t packets) {
     hint.at3(0, channel, t) = 1.0f;
   }
   return hint;
-}
-
-template <class Fn>
-void ControlNetBranch::for_each_quantizable(Fn&& fn) {
-  fn(time_mlp1_);
-  fn(time_mlp2_);
-  fn(hint_conv1_);
-  fn(hint_conv2_);
-  fn(conv_in_);
-  fn(res_d1_);
-  fn(down1_);
-  fn(res_d2_);
-  fn(down2_);
-  fn(res_m_);
-  fn(zero1_);
-  fn(zero2_);
-  fn(zero_m_);
-}
-
-void ControlNetBranch::set_precision(nn::Precision p) {
-  for_each_quantizable([p](auto& m) { m.set_precision(p); });
-}
-
-void ControlNetBranch::refresh_quantized() {
-  for_each_quantizable([](auto& m) { m.refresh_quantized(); });
-}
-
-void ControlNetBranch::invalidate_quantized() {
-  for_each_quantizable([](auto& m) { m.invalidate_quantized(); });
 }
 
 }  // namespace repro::diffusion

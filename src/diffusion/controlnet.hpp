@@ -24,7 +24,13 @@ class ControlNetBranch {
   ControlNetBranch(const UNetConfig& config, Rng& rng);
 
   /// x: [N, C, L] (the current noisy latent), hint: [N, 3, L].
-  /// Residual shapes match ControlResiduals' documentation.
+  /// Residual shapes match ControlResiduals' documentation. The const
+  /// overload is the read-only sampling forward; the other is the
+  /// training entry that records for backward (nn/module.hpp).
+  ControlResiduals forward(const nn::Tensor& x,
+                           const std::vector<float>& timesteps,
+                           const std::vector<int>& class_ids,
+                           const nn::Tensor& hint) const;
   ControlResiduals forward(const nn::Tensor& x,
                            const std::vector<float>& timesteps,
                            const std::vector<int>& class_ids,
@@ -36,14 +42,14 @@ class ControlNetBranch {
   std::vector<nn::Parameter*> parameters();
   void zero_grad();
 
-  /// Precision propagation mirroring UNet1d (unet1d.hpp).
-  void set_precision(nn::Precision p);
-  void refresh_quantized();
-  void invalidate_quantized();
-
  private:
-  template <class Fn>
-  void for_each_quantizable(Fn&& fn);
+  /// The forward graph, written once for both overloads.
+  template <class Self>
+  static ControlResiduals graph(Self& self, const nn::Tensor& x,
+                                const std::vector<float>& timesteps,
+                                const std::vector<int>& class_ids,
+                                const nn::Tensor& hint);
+
   UNetConfig config_;
   // Conditioning (own copy; ControlNet clones the encoder conditioning).
   nn::Linear time_mlp1_;
@@ -65,9 +71,6 @@ class ControlNetBranch {
   nn::Conv1d zero1_;  // base -> base
   nn::Conv1d zero2_;  // 2*base -> 2*base
   nn::Conv1d zero_m_;
-  // Cache.
-  std::size_t n_ = 0;
-  nn::Tensor sin_emb_;
 };
 
 /// Builds the [3, L] one-hot protocol hint from a template flow (row i =

@@ -99,7 +99,7 @@ const TraceDiffusion::TimingModel& TraceDiffusion::class_timing(
 }
 
 void TraceDiffusion::assign_timestamps(net::Flow& flow, int class_id,
-                                       Rng& rng) {
+                                       Rng& rng) const {
   const TimingModel& model = class_timing(class_id);
   double t = 0.0;
   for (auto& pkt : flow.packets) {
@@ -110,23 +110,25 @@ void TraceDiffusion::assign_timestamps(net::Flow& flow, int class_id,
   }
 }
 
-const nn::Tensor& TraceDiffusion::class_hint(int class_id) {
-  auto it = hints_.find(class_id);
-  if (it != hints_.end()) return it->second;
+void TraceDiffusion::build_hints() {
   const std::size_t c_lat = config_.autoencoder.latent_dim;
   const std::size_t l = config_.packets;
-  nn::Tensor hint({1, kHintChannels + c_lat, l});
-  const net::Flow& tmpl = template_flows_.count(class_id)
-                              ? template_flows_.at(class_id)
-                              : net::Flow{};
-  const nn::Tensor proto = protocol_hint(tmpl, l);
-  std::copy(proto.data(), proto.data() + kHintChannels * l, hint.data());
-  nn::Tensor latent = autoencoder_->encode_matrix(
-      nprint::encode_flow(tmpl, l, /*pad_to_max=*/true));
-  latent.scale(latent_scale_);
-  std::copy(latent.data(), latent.data() + c_lat * l,
-            hint.data() + kHintChannels * l);
-  return hints_.emplace(class_id, std::move(hint)).first->second;
+  hints_.clear();
+  for (const auto& [class_id, tmpl] : template_flows_) {
+    nn::Tensor hint({1, kHintChannels + c_lat, l});
+    const nn::Tensor proto = protocol_hint(tmpl, l);
+    std::copy(proto.data(), proto.data() + kHintChannels * l, hint.data());
+    nn::Tensor latent = autoencoder_->encode_matrix(
+        nprint::encode_flow(tmpl, l, /*pad_to_max=*/true));
+    latent.scale(latent_scale_);
+    std::copy(latent.data(), latent.data() + c_lat * l,
+              hint.data() + kHintChannels * l);
+    hints_.emplace(class_id, std::move(hint));
+  }
+}
+
+const nn::Tensor& TraceDiffusion::class_hint(int class_id) const {
+  return hints_.at(class_id);
 }
 
 std::vector<TraceDiffusion::Encoded> TraceDiffusion::encode_dataset(
@@ -222,7 +224,7 @@ FitStats TraceDiffusion::fit(const flowgen::Dataset& real) {
         sq / static_cast<double>(std::max<std::size_t>(count, 1)));
     latent_scale_ = std_dev > 1e-6 ? static_cast<float>(1.0 / std_dev) : 1.0f;
   }
-  hints_.clear();  // control hints embed scaled latents; rebuild lazily
+  build_hints();  // control hints embed scaled latents
 
   // --- Phase B: conditional latent diffusion. ---
   std::vector<Encoded> encoded = encode_dataset(real);
@@ -244,10 +246,8 @@ FitStats TraceDiffusion::fit(const flowgen::Dataset& real) {
     unet_->unfreeze_all();
   }
 
-  // The weights changed: any recorded int8 calibration and any fitted
-  // distilled stages describe the old model.
-  unet_->invalidate_quantized();
-  control_->invalidate_quantized();
+  // The weights changed: any fitted distilled stages describe the old
+  // model.
   distilled_.clear();
 
   fitted_ = true;
@@ -371,6 +371,7 @@ float TraceDiffusion::fit_lora(const flowgen::Dataset& data,
     }
   }
   fit_timing(data);
+  build_hints();
   REPRO_SPAN("diffusion.fit_lora");
   std::vector<Encoded> encoded = encode_dataset(data);
   unet_->freeze_base();
@@ -380,10 +381,8 @@ float TraceDiffusion::fit_lora(const flowgen::Dataset& data,
       encoded, epochs, config_.diffusion_lr, params,
       /*with_control_hints=*/false);
   unet_->unfreeze_all();
-  // Adapter weights changed the effective model; stale int8 scales and
-  // distilled stages must not survive.
-  unet_->invalidate_quantized();
-  control_->invalidate_quantized();
+  // Adapter weights changed the effective model; stale distilled stages
+  // must not survive.
   distilled_.clear();
   return loss;
 }
@@ -416,29 +415,6 @@ void renormalize_batch(nn::Tensor& x, float target_std) {
       });
 }
 
-/// Applies the requested inference precision to the denoiser stack for
-/// the duration of one sampling call and restores the bit-exact fp32
-/// route on exit (exceptions included), so the precision knob never
-/// leaks into training or a later fp32 request.
-class PrecisionScope {
- public:
-  PrecisionScope(nn::Precision p, UNet1d& unet, ControlNetBranch& control)
-      : unet_(unet), control_(control) {
-    unet_.set_precision(p);
-    control_.set_precision(p);
-  }
-  ~PrecisionScope() {
-    unet_.set_precision(nn::Precision::kFp32);
-    control_.set_precision(nn::Precision::kFp32);
-  }
-  PrecisionScope(const PrecisionScope&) = delete;
-  PrecisionScope& operator=(const PrecisionScope&) = delete;
-
- private:
-  UNet1d& unet_;
-  ControlNetBranch& control_;
-};
-
 /// Standard deviation of one tensor (about its mean).
 float tensor_std(const nn::Tensor& x) {
   double sum = 0.0, sq = 0.0;
@@ -455,7 +431,7 @@ float tensor_std(const nn::Tensor& x) {
 }  // namespace
 
 EpsFn TraceDiffusion::guided_eps_fn(int class_id, std::size_t count,
-                                    const GenerateOptions& opts) {
+                                    const GenerateOptions& opts) const {
   // Shared closure state: id/timestep vectors built once, plus step
   // scratch (stacked CFG input, tiled residuals) reused across steps.
   struct State {
@@ -540,7 +516,6 @@ nn::Tensor TraceDiffusion::sample_latents(int class_id, std::size_t count,
   const std::size_t c = config_.autoencoder.latent_dim;
   const std::size_t l = config_.packets;
   const bool control = opts.use_control && template_flows_.count(class_id);
-  const PrecisionScope precision(opts.precision, *unet_, *control_);
   EpsFn eps_fn = guided_eps_fn(class_id, count, opts);
 
   const std::vector<std::size_t> shape{count, c, l};
@@ -605,15 +580,13 @@ nn::Tensor TraceDiffusion::sample_latents(int class_id, std::size_t count,
   return out;
 }
 
-nn::Tensor TraceDiffusion::sample_latents_multi(int class_id,
-                                                const GenerateOptions& opts,
-                                                std::vector<Rng>& rngs) {
+nn::Tensor TraceDiffusion::sample_latents_multi(
+    int class_id, const GenerateOptions& opts, std::vector<Rng>& rngs) const {
   REPRO_SPAN("diffusion.sample.latents");
   const std::size_t count = rngs.size();
   const std::size_t c = config_.autoencoder.latent_dim;
   const std::size_t l = config_.packets;
   const bool control = opts.use_control && template_flows_.count(class_id);
-  const PrecisionScope precision(opts.precision, *unet_, *control_);
   EpsFn eps_fn = guided_eps_fn(class_id, count, opts);
 
   const std::vector<std::size_t> shape{count, c, l};
@@ -786,11 +759,6 @@ std::vector<std::size_t> TraceDiffusion::distilled_step_counts() const {
   return out;
 }
 
-void TraceDiffusion::prepare_quantized() {
-  unet_->refresh_quantized();
-  control_->refresh_quantized();
-}
-
 std::vector<net::Flow> TraceDiffusion::generate(int class_id,
                                                 const GenerateOptions& opts) {
   if (!fitted_) {
@@ -803,16 +771,18 @@ std::vector<net::Flow> TraceDiffusion::generate(int class_id,
   REPRO_SPAN("diffusion.generate");
   telemetry::count("diffusion.generate.flows", opts.count);
   nn::Tensor latents = sample_latents(class_id, opts.count, opts);
-  return decode_flows(std::move(latents), class_id, opts, nullptr);
+  return decode_flows(std::move(latents), class_id, opts,
+                      std::span<Rng>(&rng_, 1));
 }
 
 std::vector<net::Flow> TraceDiffusion::decode_flows(
     nn::Tensor latents, int class_id, const GenerateOptions& opts,
-    std::vector<Rng>* flow_rngs) {
+    std::span<Rng> rngs) const {
   REPRO_SPAN("diffusion.generate.decode");
   const std::size_t n = latents.dim(0);
-  if (flow_rngs != nullptr && flow_rngs->size() != n) {
-    throw std::invalid_argument("decode_flows: one RNG per flow required");
+  if (rngs.size() != n && rngs.size() != 1) {
+    throw std::invalid_argument(
+        "decode_flows: one RNG per flow, or one shared, required");
   }
   latents.scale(1.0f / latent_scale_);
   // One batched decoder pass over all flows' packet rows.
@@ -831,15 +801,14 @@ std::vector<net::Flow> TraceDiffusion::decode_flows(
       flow = enforce_tcp_state(flow, template_flows_.at(class_id));
     }
     flow.label = class_id;
-    assign_timestamps(flow, class_id,
-                      flow_rngs != nullptr ? (*flow_rngs)[i] : rng_);
+    assign_timestamps(flow, class_id, rngs[rngs.size() == 1 ? 0 : i]);
     flows.push_back(std::move(flow));
   }
   return flows;
 }
 
 std::vector<net::Flow> TraceDiffusion::generate_seeded(
-    int class_id, const GenerateOptions& opts, std::uint64_t seed) {
+    int class_id, const GenerateOptions& opts, std::uint64_t seed) const {
   std::vector<std::uint64_t> flow_seeds(opts.count);
   for (std::size_t i = 0; i < opts.count; ++i) {
     flow_seeds[i] = fork_flow_seed(seed, i);
@@ -849,7 +818,7 @@ std::vector<net::Flow> TraceDiffusion::generate_seeded(
 
 std::vector<net::Flow> TraceDiffusion::generate_with_flow_seeds(
     int class_id, const GenerateOptions& opts,
-    const std::vector<std::uint64_t>& flow_seeds) {
+    const std::vector<std::uint64_t>& flow_seeds) const {
   if (!fitted_) {
     throw std::logic_error(
         "TraceDiffusion::generate_with_flow_seeds: call fit() first");
@@ -866,7 +835,7 @@ std::vector<net::Flow> TraceDiffusion::generate_with_flow_seeds(
   rngs.reserve(flow_seeds.size());
   for (const std::uint64_t s : flow_seeds) rngs.emplace_back(s);
   nn::Tensor latents = sample_latents_multi(class_id, opts, rngs);
-  return decode_flows(std::move(latents), class_id, opts, &rngs);
+  return decode_flows(std::move(latents), class_id, opts, rngs);
 }
 
 std::vector<net::Flow> TraceDiffusion::generate_from_prompt(
@@ -1011,7 +980,7 @@ T read_pod(std::istream& in) {
 
 }  // namespace
 
-void TraceDiffusion::save(const std::string& prefix) const {
+void TraceDiffusion::save(const std::string& prefix) {
   if (!fitted_) {
     throw std::logic_error("TraceDiffusion::save: call fit() first");
   }
@@ -1070,7 +1039,6 @@ void TraceDiffusion::load(const std::string& prefix) {
   const auto template_count = read_pod<std::uint32_t>(in);
   template_flows_.clear();
   templates_.clear();
-  hints_.clear();
   for (std::uint32_t t = 0; t < template_count; ++t) {
     const auto class_id = read_pod<std::int32_t>(in);
     const auto packet_count = read_pod<std::uint32_t>(in);
@@ -1116,10 +1084,8 @@ void TraceDiffusion::load(const std::string& prefix) {
       distilled_[key] = std::move(stage);
     }
   }
+  build_hints();
   fitted_ = true;
-  // Record the int8 absmax calibration for the freshly loaded weights so
-  // the first quantized request pays no calibration latency.
-  prepare_quantized();
 }
 
 }  // namespace repro::diffusion

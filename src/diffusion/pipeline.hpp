@@ -12,6 +12,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,6 @@
 #include "diffusion/schedule.hpp"
 #include "diffusion/unet1d.hpp"
 #include "flowgen/dataset.hpp"
-#include "nn/precision.hpp"
 
 namespace repro::diffusion {
 
@@ -115,14 +115,6 @@ struct GenerateOptions {
   /// active when use_control is set and the class has a template.
   float template_strength = 0.35f;
 
-  /// Inference numeric route. kFp32 is the bit-exact reference path;
-  /// kInt8 routes the U-Net / control-branch weight GEMMs through the
-  /// quantized kernels (nn/kernels/qgemm.hpp) — faster, still
-  /// bit-identical across REPRO_THREADS, but numerically distinct from
-  /// fp32 (fidelity-gated by bench/fidelity_fastpath). Sampling-only:
-  /// training always runs fp32, and the pipeline restores fp32 after
-  /// every sampling call.
-  nn::Precision precision = nn::Precision::kFp32;
 };
 
 /// Progressive-distillation configuration (TraceDiffusion::distill).
@@ -183,10 +175,11 @@ class TraceDiffusion {
   /// fork_flow_seed(seed, i). Unlike generate(), this neither reads nor
   /// advances the pipeline's internal RNG, so the same (class, seed,
   /// opts) always yields bit-identical flows — the library-side half of
-  /// the serving determinism contract.
+  /// the serving determinism contract. `const`: it reads the fitted
+  /// model only, so any number of threads may call it on one pipeline.
   std::vector<net::Flow> generate_seeded(int class_id,
                                          const GenerateOptions& opts,
-                                         std::uint64_t seed);
+                                         std::uint64_t seed) const;
 
   /// Batch-friendly seeded entry point: one flow per entry of
   /// `flow_seeds`, all sampled in ONE batched model call
@@ -196,7 +189,7 @@ class TraceDiffusion {
   /// separately — this is what the serving layer's micro-batcher calls.
   std::vector<net::Flow> generate_with_flow_seeds(
       int class_id, const GenerateOptions& opts,
-      const std::vector<std::uint64_t>& flow_seeds);
+      const std::vector<std::uint64_t>& flow_seeds) const;
 
   /// One raw generated matrix (already quantized/projected per
   /// opts.constraint) plus the template used — the Figure 2 artifact.
@@ -234,15 +227,15 @@ class TraceDiffusion {
   /// Persists the fitted pipeline: `<prefix>.weights` (autoencoder +
   /// U-Net + control branch parameters) and `<prefix>.meta` (latent
   /// scale and the per-class template flows). Throws std::logic_error
-  /// before fit() and std::runtime_error on I/O failure.
-  void save(const std::string& prefix) const;
+  /// before fit() and std::runtime_error on I/O failure. Not `const`:
+  /// the parameter lists it writes hand out mutable pointers.
+  void save(const std::string& prefix);
 
   /// Restores a pipeline saved with `save`. The receiving pipeline must
   /// have been constructed with an identical PipelineConfig and class
   /// list (verified via parameter names/shapes). Marks the pipeline
-  /// fitted, records the int8 absmax calibration for every weight
-  /// (prepare_quantized), and restores any distilled stages saved with
-  /// the checkpoint.
+  /// fitted, rebuilds the control hints, and restores any distilled
+  /// stages saved with the checkpoint.
   void load(const std::string& prefix);
 
   /// Fits distilled few-step sampler stages for every class by
@@ -260,12 +253,6 @@ class TraceDiffusion {
   /// serving layer advertises and admits for SamplerKind::kDistilled.
   std::vector<std::size_t> distilled_step_counts() const;
 
-  /// Eagerly records the int8 absmax calibration (per-tensor scale +
-  /// quantized copy) for every U-Net / control-branch weight, so the
-  /// first kInt8 request pays no calibration latency. Called by load();
-  /// idempotent. fit()/fit_lora() invalidate the recorded calibration.
-  void prepare_quantized();
-
   UNet1d& unet() noexcept { return *unet_; }
   PacketAutoencoder& autoencoder() noexcept { return *autoencoder_; }
 
@@ -277,10 +264,14 @@ class TraceDiffusion {
 
   std::vector<Encoded> encode_dataset(const flowgen::Dataset& data);
 
-  /// Builds (and caches) the one-shot control hint for a class: the
-  /// protocol one-hot stacked with the AE-encoded template-flow latent —
-  /// the "class-specific ... image fed into ControlNet" of §3.1.
-  const nn::Tensor& class_hint(int class_id);
+  /// Builds the one-shot control hint of every class with a template:
+  /// the protocol one-hot stacked with the AE-encoded template-flow
+  /// latent — the "class-specific ... image fed into ControlNet" of
+  /// §3.1. Runs whenever the templates, the autoencoder or the latent
+  /// scale change (fit, fit_lora, load), so sampling only reads hints.
+  void build_hints();
+  /// The control hint of a class that has a template.
+  const nn::Tensor& class_hint(int class_id) const;
   float train_diffusion_epochs(const std::vector<Encoded>& data,
                                std::size_t epochs, float lr,
                                const std::vector<nn::Parameter*>& params,
@@ -291,14 +282,14 @@ class TraceDiffusion {
   /// sample_latents with one noise stream per sample (count =
   /// rngs.size()); see generate_with_flow_seeds.
   nn::Tensor sample_latents_multi(int class_id, const GenerateOptions& opts,
-                                  std::vector<Rng>& rngs);
+                                  std::vector<Rng>& rngs) const;
 
   /// Shared decode tail: latent batch -> quantize -> project -> packets
-  /// -> timestamps. `flow_rngs`, when non-null (one per flow), supplies
-  /// the per-flow timestamp streams; otherwise the pipeline RNG is used.
+  /// -> timestamps. `rngs` holds the timestamp streams: one per flow, or
+  /// a single stream that all flows draw from in order.
   std::vector<net::Flow> decode_flows(nn::Tensor latents, int class_id,
                                       const GenerateOptions& opts,
-                                      std::vector<Rng>* flow_rngs);
+                                      std::span<Rng> rngs) const;
 
   /// Builds the classifier-free-guided noise predictor shared by
   /// sample_latents and deblur. With guidance enabled, the cond and
@@ -308,15 +299,17 @@ class TraceDiffusion {
   /// stacked input, tiled residuals) lives in state shared by the
   /// returned closure and is reused across sampler steps.
   EpsFn guided_eps_fn(int class_id, std::size_t count,
-                      const GenerateOptions& opts);
+                      const GenerateOptions& opts) const;
 
   PipelineConfig config_;
   PromptCodec prompts_;
   Rng rng_;
   NoiseSchedule schedule_;
-  std::unique_ptr<PacketAutoencoder> autoencoder_;
-  std::unique_ptr<UNet1d> unet_;
-  std::unique_ptr<ControlNetBranch> control_;
+  // Behind propagate_const, so the const sampling path reaches only the
+  // read-only forwards.
+  nn::Child<PacketAutoencoder> autoencoder_;
+  nn::Child<UNet1d> unet_;
+  nn::Child<ControlNetBranch> control_;
   float latent_scale_ = 1.0f;
   bool fitted_ = false;
   /// Fits/updates per-class timing models from labeled flows.
@@ -324,7 +317,7 @@ class TraceDiffusion {
 
   /// Assigns model-sampled timestamps to a generated flow, drawing the
   /// inter-arrival gaps from `rng`.
-  void assign_timestamps(net::Flow& flow, int class_id, Rng& rng);
+  void assign_timestamps(net::Flow& flow, int class_id, Rng& rng) const;
 
   /// Start timestep a generation request denoises from: the SDEdit
   /// template noising point when the class template is in play, else
@@ -338,7 +331,7 @@ class TraceDiffusion {
 
   std::map<int, net::Flow> template_flows_;   // one-shot control sources
   std::map<int, ProtocolTemplate> templates_;
-  std::map<int, nn::Tensor> hints_;           // cached control images
+  std::map<int, nn::Tensor> hints_;           // control images (build_hints)
   std::map<int, TimingModel> timing_;
   std::map<DistillKey, DistilledStage> distilled_;  // fitted few-step stages
 };

@@ -27,26 +27,39 @@ ResBlock::ResBlock(std::size_t in_channels, std::size_t out_channels,
   }
 }
 
-nn::Tensor ResBlock::forward(const nn::Tensor& x, const nn::Tensor& temb) {
-  last_len_ = x.dim(2);
-  nn::Tensor h = conv1_.forward(act1_.forward(norm1_.forward(x)));
+template <class Self>
+nn::Tensor ResBlock::graph(Self& self, const nn::Tensor& x,
+                           const nn::Tensor& temb) {
+  nn::Tensor h =
+      self.conv1_.forward(self.act1_.forward(self.norm1_.forward(x)));
   // FiLM add: per-sample, per-channel bias from the embedding.
-  nn::Tensor tproj = temb_proj_.forward(temb_act_.forward(temb));  // [N, Cout]
-  const std::size_t n = h.dim(0), l = h.dim(2);
+  const nn::Tensor tproj =
+      self.temb_proj_.forward(self.temb_act_.forward(temb));  // [N, Cout]
+  const std::size_t n = h.dim(0), l = h.dim(2), cout = self.cout_;
   for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t c = 0; c < cout_; ++c) {
-      float* row = h.data() + (b * cout_ + c) * l;
+    for (std::size_t c = 0; c < cout; ++c) {
+      float* row = h.data() + (b * cout + c) * l;
       const float bias = tproj.at2(b, c);
       for (std::size_t t = 0; t < l; ++t) row[t] += bias;
     }
   }
-  nn::Tensor out = conv2_.forward(act2_.forward(norm2_.forward(h)));
-  if (skip_) {
-    out.add(skip_->forward(x));
+  nn::Tensor out =
+      self.conv2_.forward(self.act2_.forward(self.norm2_.forward(h)));
+  if (self.skip_) {
+    out.add(self.skip_->forward(x));
   } else {
     out.add(x);
   }
   return out;
+}
+
+nn::Tensor ResBlock::forward(const nn::Tensor& x,
+                             const nn::Tensor& temb) const {
+  return graph(*this, x, temb);
+}
+
+nn::Tensor ResBlock::forward(const nn::Tensor& x, const nn::Tensor& temb) {
+  return graph(*this, x, temb);
 }
 
 nn::Tensor ResBlock::backward(const nn::Tensor& grad_out,

@@ -24,7 +24,10 @@ class ResBlock {
            std::size_t temb_dim, std::size_t groups, Rng& rng,
            const std::string& name);
 
-  /// x: [N, Cin, L], temb: [N, temb_dim] -> [N, Cout, L].
+  /// x: [N, Cin, L], temb: [N, temb_dim] -> [N, Cout, L]. The const
+  /// overload is the read-only forward; the other is the training entry
+  /// that records for backward (nn/module.hpp).
+  nn::Tensor forward(const nn::Tensor& x, const nn::Tensor& temb) const;
   nn::Tensor forward(const nn::Tensor& x, const nn::Tensor& temb);
 
   /// Returns grad_x; accumulates the temb gradient into `grad_temb`
@@ -34,28 +37,14 @@ class ResBlock {
   std::vector<nn::Parameter*> parameters();
   void set_trainable(bool trainable) noexcept;
 
-  /// Forwards the precision knob to the convs and the FiLM projection
-  /// (module.hpp set_precision / refresh_quantized / invalidate_quantized).
-  template <class Fn>
-  void for_each_quantizable(Fn&& fn) {
-    fn(conv1_);
-    fn(temb_proj_);
-    fn(conv2_);
-    if (skip_) fn(*skip_);
-  }
-  void set_precision(nn::Precision p) {
-    for_each_quantizable([p](nn::Module& m) { m.set_precision(p); });
-  }
-  void refresh_quantized() {
-    for_each_quantizable([](nn::Module& m) { m.refresh_quantized(); });
-  }
-  void invalidate_quantized() {
-    for_each_quantizable([](nn::Module& m) { m.invalidate_quantized(); });
-  }
-
   std::size_t out_channels() const noexcept { return cout_; }
 
  private:
+  /// The forward graph, written once for both overloads.
+  template <class Self>
+  static nn::Tensor graph(Self& self, const nn::Tensor& x,
+                          const nn::Tensor& temb);
+
   std::size_t cin_, cout_;
   nn::GroupNorm norm1_;
   nn::SiLU act1_;
@@ -65,8 +54,7 @@ class ResBlock {
   nn::GroupNorm norm2_;
   nn::SiLU act2_;
   nn::Conv1d conv2_;
-  std::unique_ptr<nn::Conv1d> skip_;  // present iff cin != cout
-  std::size_t last_len_ = 0;
+  nn::Child<nn::Conv1d> skip_;  // present iff cin != cout
 };
 
 }  // namespace repro::diffusion

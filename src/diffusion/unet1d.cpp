@@ -64,16 +64,18 @@ UNet1d::UNet1d(const UNetConfig& config, Rng& rng)
       conv_out_(config.base_channels, config.in_channels, 3, rng, 1, SIZE_MAX,
                 "unet.conv_out") {}
 
-nn::Tensor UNet1d::embed(const std::vector<float>& timesteps,
+template <class Self>
+nn::Tensor UNet1d::embed(Self& self, const std::vector<float>& timesteps,
                          const std::vector<int>& class_ids) {
-  sin_emb_ = nn::sinusoidal_embedding(timesteps, config_.temb_dim);
-  nn::Tensor temb =
-      time_mlp2_.forward(time_act_.forward(time_mlp1_.forward(sin_emb_)));
+  const nn::Tensor sin_emb =
+      nn::sinusoidal_embedding(timesteps, self.config_.temb_dim);
+  nn::Tensor temb = self.time_mlp2_.forward(
+      self.time_act_.forward(self.time_mlp1_.forward(sin_emb)));
   nn::Tensor ids({class_ids.size()});
   for (std::size_t i = 0; i < class_ids.size(); ++i) {
     ids[i] = static_cast<float>(class_ids[i]);
   }
-  temb.add(class_embedding_.forward(ids));
+  temb.add(self.class_embedding_.forward(ids));
   return temb;
 }
 
@@ -83,64 +85,77 @@ void UNet1d::embed_backward(const nn::Tensor& grad_temb) {
       time_act_.backward(time_mlp2_.backward(grad_temb)));
 }
 
-nn::Tensor UNet1d::forward(const nn::Tensor& x,
-                           const std::vector<float>& timesteps,
-                           const std::vector<int>& class_ids,
-                           const ControlResiduals* control) {
-  if (x.rank() != 3 || x.dim(1) != config_.in_channels) {
+template <class Self>
+nn::Tensor UNet1d::graph(Self& self, const nn::Tensor& x,
+                         const std::vector<float>& timesteps,
+                         const std::vector<int>& class_ids,
+                         const ControlResiduals* control) {
+  if (x.rank() != 3 || x.dim(1) != self.config_.in_channels) {
     throw std::invalid_argument("UNet1d::forward: bad input " +
                                 x.shape_string());
   }
   if (x.dim(2) % 4 != 0) {
     throw std::invalid_argument("UNet1d::forward: L must be divisible by 4");
   }
-  n_ = x.dim(0);
-  l_ = x.dim(2);
-  has_control_ = control != nullptr;
+  const nn::Tensor temb = embed(self, timesteps, class_ids);
 
-  temb_ = embed(timesteps, class_ids);
-
-  nn::Tensor h = conv_in_.forward(x);
-  nn::Tensor d1 = res_d1_.forward(h, temb_);
+  nn::Tensor h = self.conv_in_.forward(x);
+  nn::Tensor d1 = self.res_d1_.forward(h, temb);
   nn::Tensor skip1 = d1;
   if (control) skip1.add(control->skip1);
 
-  nn::Tensor d2 = res_d2_.forward(down1_.forward(d1), temb_);
+  nn::Tensor d2 = self.res_d2_.forward(self.down1_.forward(d1), temb);
   nn::Tensor skip2 = d2;
   if (control) skip2.add(control->skip2);
 
-  nn::Tensor m = res_m1_.forward(down2_.forward(d2), temb_);
-  m = attention_->forward(m);
-  m = res_m2_.forward(m, temb_);
+  nn::Tensor m = self.res_m1_.forward(self.down2_.forward(d2), temb);
+  m = self.attention_->forward(m);
+  m = self.res_m2_.forward(m, temb);
   if (control) m.add(control->mid);
 
-  nn::Tensor u2 = up_conv2_.forward(upsample2x(m));
+  nn::Tensor u2 = self.up_conv2_.forward(upsample2x(m));
   nn::Tensor cat2 = concat_channels(u2, skip2);
-  nn::Tensor r2 = res_u2_.forward(cat2, temb_);
+  nn::Tensor r2 = self.res_u2_.forward(cat2, temb);
 
-  nn::Tensor u1 = up_conv1_.forward(upsample2x(r2));
+  nn::Tensor u1 = self.up_conv1_.forward(upsample2x(r2));
   nn::Tensor cat1 = concat_channels(u1, skip1);
-  nn::Tensor r1 = res_u1_.forward(cat1, temb_);
+  nn::Tensor r1 = self.res_u1_.forward(cat1, temb);
 
-  return conv_out_.forward(act_out_.forward(norm_out_.forward(r1)));
+  return self.conv_out_.forward(
+      self.act_out_.forward(self.norm_out_.forward(r1)));
+}
+
+nn::Tensor UNet1d::forward(const nn::Tensor& x,
+                           const std::vector<float>& timesteps,
+                           const std::vector<int>& class_ids,
+                           const ControlResiduals* control) const {
+  return graph(*this, x, timesteps, class_ids, control);
+}
+
+nn::Tensor UNet1d::forward(const nn::Tensor& x,
+                           const std::vector<float>& timesteps,
+                           const std::vector<int>& class_ids,
+                           const ControlResiduals* control) {
+  return graph(*this, x, timesteps, class_ids, control);
 }
 
 nn::Tensor UNet1d::backward(const nn::Tensor& grad_eps,
                             ControlResiduals* grad_control) {
-  nn::Tensor grad_temb({n_, config_.temb_dim});
+  const std::size_t n = grad_eps.dim(0), l = grad_eps.dim(2);
+  nn::Tensor grad_temb({n, config_.temb_dim});
 
   nn::Tensor g =
       norm_out_.backward(act_out_.backward(conv_out_.backward(grad_eps)));
   nn::Tensor gcat1 = res_u1_.backward(g, grad_temb);
-  nn::Tensor gu1(nn::Tensor({n_, config_.base_channels, l_}));
-  nn::Tensor gskip1(nn::Tensor({n_, config_.base_channels, l_}));
+  nn::Tensor gu1(nn::Tensor({n, config_.base_channels, l}));
+  nn::Tensor gskip1(nn::Tensor({n, config_.base_channels, l}));
   split_channels(gcat1, config_.base_channels, gu1, gskip1);
   nn::Tensor gr2 = upsample2x_backward(up_conv1_.backward(gu1));
 
   nn::Tensor gcat2 = res_u2_.backward(gr2, grad_temb);
   const std::size_t c2 = config_.base_channels * 2;
-  nn::Tensor gu2({n_, c2, l_ / 2});
-  nn::Tensor gskip2({n_, c2, l_ / 2});
+  nn::Tensor gu2({n, c2, l / 2});
+  nn::Tensor gskip2({n, c2, l / 2});
   split_channels(gcat2, c2, gu2, gskip2);
   nn::Tensor gm = upsample2x_backward(up_conv2_.backward(gu2));
 
@@ -277,37 +292,6 @@ nn::Tensor concat_channels(const nn::Tensor& a, const nn::Tensor& b) {
     }
   }
   return out;
-}
-
-template <class Fn>
-void UNet1d::for_each_quantizable(Fn&& fn) {
-  fn(time_mlp1_);
-  fn(time_mlp2_);
-  fn(conv_in_);
-  fn(res_d1_);
-  fn(down1_);
-  fn(res_d2_);
-  fn(down2_);
-  fn(res_m1_);
-  fn(*attention_);
-  fn(res_m2_);
-  fn(up_conv2_);
-  fn(res_u2_);
-  fn(up_conv1_);
-  fn(res_u1_);
-  fn(conv_out_);
-}
-
-void UNet1d::set_precision(nn::Precision p) {
-  for_each_quantizable([p](auto& m) { m.set_precision(p); });
-}
-
-void UNet1d::refresh_quantized() {
-  for_each_quantizable([](auto& m) { m.refresh_quantized(); });
-}
-
-void UNet1d::invalidate_quantized() {
-  for_each_quantizable([](auto& m) { m.invalidate_quantized(); });
 }
 
 void split_channels(const nn::Tensor& grad, std::size_t ca, nn::Tensor& ga,

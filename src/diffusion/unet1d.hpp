@@ -55,7 +55,12 @@ class UNet1d {
 
   /// Predicts the noise eps for x_t. `timesteps` and `class_ids` have one
   /// entry per batch element; use PromptCodec::null_id() for the
-  /// unconditional branch. `control` may be nullptr.
+  /// unconditional branch. `control` may be nullptr. The const overload
+  /// is the read-only sampling forward; the other is the training entry
+  /// that records for backward (nn/module.hpp).
+  nn::Tensor forward(const nn::Tensor& x, const std::vector<float>& timesteps,
+                     const std::vector<int>& class_ids,
+                     const ControlResiduals* control = nullptr) const;
   nn::Tensor forward(const nn::Tensor& x, const std::vector<float>& timesteps,
                      const std::vector<int>& class_ids,
                      const ControlResiduals* control = nullptr);
@@ -84,21 +89,16 @@ class UNet1d {
   void zero_grad();
   std::size_t parameter_count();
 
-  /// Propagates the execution precision to every matmul-backed layer
-  /// (convs, FiLM/time projections, attention projections incl. LoRA
-  /// bases). The class-embedding lookup has no matmul and is unaffected.
-  void set_precision(nn::Precision p);
-  /// (Re)runs absmax calibration on all quantizable weights — called at
-  /// checkpoint-load time so int8 scales are recorded per weight.
-  void refresh_quantized();
-  /// Invalidates the int8 caches after the weights change (training).
-  void invalidate_quantized();
-
  private:
-  template <class Fn>
-  void for_each_quantizable(Fn&& fn);
-  nn::Tensor embed(const std::vector<float>& timesteps,
-                   const std::vector<int>& class_ids);
+  /// The forward graph, written once for both overloads.
+  template <class Self>
+  static nn::Tensor graph(Self& self, const nn::Tensor& x,
+                          const std::vector<float>& timesteps,
+                          const std::vector<int>& class_ids,
+                          const ControlResiduals* control);
+  template <class Self>
+  static nn::Tensor embed(Self& self, const std::vector<float>& timesteps,
+                          const std::vector<int>& class_ids);
   void embed_backward(const nn::Tensor& grad_temb);
 
   UNetConfig config_;
@@ -115,7 +115,7 @@ class UNet1d {
   nn::Conv1d down2_;
   // Middle.
   ResBlock res_m1_;
-  std::unique_ptr<nn::SelfAttention1d> attention_;
+  nn::Child<nn::SelfAttention1d> attention_;
   ResBlock res_m2_;
   // Decoder.
   nn::Conv1d up_conv2_;
@@ -125,11 +125,6 @@ class UNet1d {
   nn::GroupNorm norm_out_;
   nn::SiLU act_out_;
   nn::Conv1d conv_out_;
-  // Forward cache.
-  std::size_t n_ = 0, l_ = 0;
-  nn::Tensor temb_;
-  nn::Tensor sin_emb_;
-  bool has_control_ = false;
 };
 
 /// Nearest-neighbour 2x upsampling along L and its adjoint.

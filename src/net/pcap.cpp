@@ -46,10 +46,13 @@ PcapWriter::PcapWriter(std::ostream& out, std::uint32_t snaplen)
 void PcapWriter::write_record(const PcapRecord& record) {
   const auto caplen = static_cast<std::uint32_t>(
       std::min<std::size_t>(record.data.size(), snaplen_));
-  const auto secs = static_cast<std::uint32_t>(record.timestamp);
-  const auto usecs = static_cast<std::uint32_t>(
-      std::llround((record.timestamp - static_cast<double>(secs)) * 1e6) %
-      1000000);
+  auto secs = static_cast<std::uint32_t>(record.timestamp);
+  auto usecs = static_cast<std::uint32_t>(
+      std::llround((record.timestamp - static_cast<double>(secs)) * 1e6));
+  if (usecs >= 1000000) {  // rounded up to the next whole second
+    ++secs;
+    usecs -= 1000000;
+  }
   std::vector<std::uint8_t> header;
   ByteWriter w(header);
   w.u32_le(secs);

@@ -1,6 +1,7 @@
 #include "nn/activation.hpp"
 
 #include <cmath>
+#include <utility>
 
 namespace repro::nn {
 namespace {
@@ -9,12 +10,17 @@ inline float sigmoid_f(float x) noexcept { return 1.0f / (1.0f + std::exp(-x)); 
 
 }  // namespace
 
-Tensor SiLU::forward(const Tensor& input) {
-  input_ = input;
+Tensor SiLU::forward(const Tensor& input) const {
   Tensor out = input;
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = input[i] * sigmoid_f(input[i]);
   }
+  return out;
+}
+
+Tensor SiLU::forward(const Tensor& input) {
+  Tensor out = std::as_const(*this).forward(input);
+  input_ = input;
   return out;
 }
 
@@ -28,12 +34,17 @@ Tensor SiLU::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor ReLU::forward(const Tensor& input) {
-  input_ = input;
+Tensor ReLU::forward(const Tensor& input) const {
   Tensor out = input;
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (out[i] < 0.0f) out[i] = 0.0f;
   }
+  return out;
+}
+
+Tensor ReLU::forward(const Tensor& input) {
+  Tensor out = std::as_const(*this).forward(input);
+  input_ = input;
   return out;
 }
 
@@ -46,12 +57,17 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor LeakyReLU::forward(const Tensor& input) {
-  input_ = input;
+Tensor LeakyReLU::forward(const Tensor& input) const {
   Tensor out = input;
   for (std::size_t i = 0; i < out.size(); ++i) {
     if (out[i] < 0.0f) out[i] *= slope_;
   }
+  return out;
+}
+
+Tensor LeakyReLU::forward(const Tensor& input) {
+  Tensor out = std::as_const(*this).forward(input);
+  input_ = input;
   return out;
 }
 
@@ -64,11 +80,15 @@ Tensor LeakyReLU::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor Tanh::forward(const Tensor& input) {
+Tensor Tanh::forward(const Tensor& input) const {
   Tensor out = input;
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::tanh(out[i]);
-  output_ = out;
   return out;
+}
+
+Tensor Tanh::forward(const Tensor& input) {
+  output_ = std::as_const(*this).forward(input);
+  return output_;
 }
 
 Tensor Tanh::backward(const Tensor& grad_output) {
@@ -80,11 +100,15 @@ Tensor Tanh::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor Sigmoid::forward(const Tensor& input) {
+Tensor Sigmoid::forward(const Tensor& input) const {
   Tensor out = input;
   for (std::size_t i = 0; i < out.size(); ++i) out[i] = sigmoid_f(out[i]);
-  output_ = out;
   return out;
+}
+
+Tensor Sigmoid::forward(const Tensor& input) {
+  output_ = std::as_const(*this).forward(input);
+  return output_;
 }
 
 Tensor Sigmoid::backward(const Tensor& grad_output) {

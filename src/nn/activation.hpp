@@ -8,6 +8,7 @@ namespace repro::nn {
 /// SiLU / swish: x * sigmoid(x) — the U-Net's activation.
 class SiLU : public Module {
  public:
+  Tensor forward(const Tensor& input) const override;
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
@@ -17,6 +18,7 @@ class SiLU : public Module {
 
 class ReLU : public Module {
  public:
+  Tensor forward(const Tensor& input) const override;
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
@@ -28,6 +30,7 @@ class ReLU : public Module {
 class LeakyReLU : public Module {
  public:
   explicit LeakyReLU(float slope = 0.2f) : slope_(slope) {}
+  Tensor forward(const Tensor& input) const override;
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
@@ -38,6 +41,7 @@ class LeakyReLU : public Module {
 
 class Tanh : public Module {
  public:
+  Tensor forward(const Tensor& input) const override;
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
@@ -47,6 +51,7 @@ class Tanh : public Module {
 
 class Sigmoid : public Module {
  public:
+  Tensor forward(const Tensor& input) const override;
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 

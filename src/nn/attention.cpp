@@ -1,6 +1,8 @@
 #include "nn/attention.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "common/parallel/parallel_for.hpp"
 #include "common/telemetry/trace.hpp"
@@ -32,64 +34,79 @@ SelfAttention1d::SelfAttention1d(std::size_t channels,
       v_(std::move(proj_v)),
       o_(std::move(proj_out)) {}
 
-Tensor SelfAttention1d::forward(const Tensor& input) {
+template <class Self>
+Tensor SelfAttention1d::graph(Self& self, const Tensor& input) {
   REPRO_SPAN("nn.attention.forward");
-  n_ = input.dim(0);
-  l_ = input.dim(2);
-  // Pre-norm over channels, position-major. rows_ is a member so the
-  // staging buffer survives between forward calls.
-  ncl_to_nlc_into(input, rows_);             // [N*L, C]
-  Tensor normed = norm_.forward(rows_);
-  q_rows_ = q_->forward(normed);
-  k_rows_ = k_->forward(normed);
-  v_rows_ = v_->forward(normed);
+  const std::size_t n = input.dim(0), l = input.dim(2);
+  const std::size_t ch = self.channels_;
+  // Pre-norm over channels, position-major.
+  const Tensor rows = ncl_to_nlc(input);  // [N*L, C]
+  const Tensor normed = self.norm_.forward(rows);
+  Tensor q = self.q_->forward(normed);
+  Tensor k = self.k_->forward(normed);
+  Tensor v = self.v_->forward(normed);
 
-  const float scale = 1.0f / std::sqrt(static_cast<float>(channels_));
-  attn_ = Tensor({n_, l_, l_});
-  Tensor ctx({n_ * l_, channels_});
+  const float scale = 1.0f / std::sqrt(static_cast<float>(ch));
+  TensorArena::Handle attn = TensorArena::scratch().acquire(n * l * l);
+  Tensor ctx({n * l, ch});
   // One batch element per work item: scores and context are GEMMs over
   // that element's [L, C] slices (run inline on the worker with fixed
   // accumulation order), softmax is a scalar pass between them. No
   // zero-skip on attention weights: a == 0 must still propagate
   // 0 * inf = NaN from a poisoned value row.
   parallel::parallel_for(
-      0, n_, parallel::grain_for(l_ * l_ * channels_),
+      0, n, parallel::grain_for(l * l * ch),
       [&](std::size_t bb, std::size_t be) {
         for (std::size_t b = bb; b < be; ++b) {
-          const float* qb = q_rows_.data() + b * l_ * channels_;
-          const float* kb = k_rows_.data() + b * l_ * channels_;
-          const float* vb = v_rows_.data() + b * l_ * channels_;
-          float* ab = attn_.data() + b * l_ * l_;
-          kernels::gemm_nt(l_, channels_, l_, qb, kb, ab);
-          for (std::size_t i = 0; i < l_; ++i) {
-            float* arow = ab + i * l_;
+          const float* qb = q.data() + b * l * ch;
+          const float* kb = k.data() + b * l * ch;
+          const float* vb = v.data() + b * l * ch;
+          float* ab = attn.data() + b * l * l;
+          kernels::gemm_nt(l, ch, l, qb, kb, ab);
+          for (std::size_t i = 0; i < l; ++i) {
+            float* arow = ab + i * l;
             float row_max = -1e30f;
-            for (std::size_t j = 0; j < l_; ++j) {
+            for (std::size_t j = 0; j < l; ++j) {
               arow[j] *= scale;
               row_max = std::max(row_max, arow[j]);
             }
             double denom = 0.0;
-            for (std::size_t j = 0; j < l_; ++j) {
+            for (std::size_t j = 0; j < l; ++j) {
               const float e = std::exp(arow[j] - row_max);
               arow[j] = e;
               denom += e;
             }
-            for (std::size_t j = 0; j < l_; ++j) {
+            for (std::size_t j = 0; j < l; ++j) {
               arow[j] = static_cast<float>(arow[j] / denom);
             }
           }
-          kernels::gemm_nn(l_, l_, channels_, ab, vb,
-                           ctx.data() + b * l_ * channels_);
+          kernels::gemm_nn(l, l, ch, ab, vb, ctx.data() + b * l * ch);
         }
       });
-  Tensor out_rows = o_->forward(ctx);
+  Tensor out_rows = self.o_->forward(ctx);
   // Residual connection.
-  out_rows.add(rows_);
-  return nlc_to_ncl(out_rows, n_, l_);
+  out_rows.add(rows);
+  if constexpr (!std::is_const_v<Self>) {
+    self.q_rows_ = std::move(q);
+    self.k_rows_ = std::move(k);
+    self.v_rows_ = std::move(v);
+    self.attn_ = Tensor({n, l, l});
+    std::copy(attn.data(), attn.data() + n * l * l, self.attn_.data());
+  }
+  return nlc_to_ncl(out_rows, n, l);
+}
+
+Tensor SelfAttention1d::forward(const Tensor& input) const {
+  return graph(*this, input);
+}
+
+Tensor SelfAttention1d::forward(const Tensor& input) {
+  return graph(*this, input);
 }
 
 Tensor SelfAttention1d::backward(const Tensor& grad_output) {
   REPRO_SPAN("nn.attention.backward");
+  const std::size_t n = grad_output.dim(0), l = grad_output.dim(2);
   Tensor grad_rows = ncl_to_nlc(grad_output);  // [N*L, C]
   // Residual: gradient flows both into o_ path and directly to input rows.
   Tensor grad_ctx = o_->backward(grad_rows);   // [N*L, C]
@@ -102,25 +119,25 @@ Tensor SelfAttention1d::backward(const Tensor& grad_output) {
   // same batch element, so the batch element is the finest race-free
   // unit here; the serial i-ascending accumulation order is kept.
   parallel::parallel_for(
-      0, n_, parallel::grain_for(l_ * l_ * channels_),
+      0, n, parallel::grain_for(l * l * channels_),
       [&](std::size_t bb, std::size_t be) {
         // One scratch row reused across every (batch, query) pair of the
         // chunk instead of an allocation per query row.
-        TensorArena::Handle dA_buf = TensorArena::scratch().acquire(l_);
+        TensorArena::Handle dA_buf = TensorArena::scratch().acquire(l);
         float* dA = dA_buf.data();
         for (std::size_t b = bb; b < be; ++b) {
-          const float* qb = q_rows_.data() + b * l_ * channels_;
-          const float* kb = k_rows_.data() + b * l_ * channels_;
-          const float* vb = v_rows_.data() + b * l_ * channels_;
-          const float* ab = attn_.data() + b * l_ * l_;
-          float* gqb = grad_q.data() + b * l_ * channels_;
-          float* gkb = grad_k.data() + b * l_ * channels_;
-          float* gvb = grad_v.data() + b * l_ * channels_;
-          for (std::size_t i = 0; i < l_; ++i) {
-            const float* gc = grad_ctx.data() + (b * l_ + i) * channels_;
+          const float* qb = q_rows_.data() + b * l * channels_;
+          const float* kb = k_rows_.data() + b * l * channels_;
+          const float* vb = v_rows_.data() + b * l * channels_;
+          const float* ab = attn_.data() + b * l * l;
+          float* gqb = grad_q.data() + b * l * channels_;
+          float* gkb = grad_k.data() + b * l * channels_;
+          float* gvb = grad_v.data() + b * l * channels_;
+          for (std::size_t i = 0; i < l; ++i) {
+            const float* gc = grad_ctx.data() + (b * l + i) * channels_;
             // dA_ij = gc . v_j ; dv_j += A_ij * gc
-            for (std::size_t j = 0; j < l_; ++j) {
-              const float a = ab[i * l_ + j];
+            for (std::size_t j = 0; j < l; ++j) {
+              const float a = ab[i * l + j];
               const float* vrow = vb + j * channels_;
               float* gvrow = gvb + j * channels_;
               double d = 0.0;
@@ -132,12 +149,12 @@ Tensor SelfAttention1d::backward(const Tensor& grad_output) {
             }
             // Softmax backward: dS_j = A_j * (dA_j - sum_k dA_k A_k).
             double dot = 0.0;
-            for (std::size_t j = 0; j < l_; ++j) {
-              dot += static_cast<double>(dA[j]) * ab[i * l_ + j];
+            for (std::size_t j = 0; j < l; ++j) {
+              dot += static_cast<double>(dA[j]) * ab[i * l + j];
             }
-            for (std::size_t j = 0; j < l_; ++j) {
+            for (std::size_t j = 0; j < l; ++j) {
               const float dS =
-                  ab[i * l_ + j] * (dA[j] - static_cast<float>(dot));
+                  ab[i * l + j] * (dA[j] - static_cast<float>(dot));
               const float g = dS * scale;
               // S_ij = scale * q_i . k_j
               const float* krow = kb + j * channels_;
@@ -158,7 +175,7 @@ Tensor SelfAttention1d::backward(const Tensor& grad_output) {
   grad_normed.add(v_->backward(grad_v));
   Tensor grad_input_rows = norm_.backward(grad_normed);
   grad_input_rows.add(grad_rows);  // residual path
-  return nlc_to_ncl(grad_input_rows, n_, l_);
+  return nlc_to_ncl(grad_input_rows, n, l);
 }
 
 std::vector<Parameter*> SelfAttention1d::parameters() {

@@ -26,7 +26,8 @@ class SelfAttention1d : public Module {
                   std::unique_ptr<Module> proj_out,
                   const std::string& name = "attn");
 
-  Tensor forward(const Tensor& input) override;  // [N, C, L] -> [N, C, L]
+  Tensor forward(const Tensor& input) const override;  // [N, C, L] -> [N, C, L]
+  Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
 
@@ -35,35 +36,18 @@ class SelfAttention1d : public Module {
   Module& proj_v() noexcept { return *v_; }
   Module& proj_out() noexcept { return *o_; }
 
-  /// Quantized route covers the four projections (where the weights
-  /// are); the data-dependent score/context GEMMs stay fp32 — two
-  /// activation tensors share no calibrated weight scale, and the
-  /// post-softmax values are already well-conditioned in fp32.
-  void set_precision(Precision p) override {
-    for (Module* m : {q_.get(), k_.get(), v_.get(), o_.get()}) {
-      m->set_precision(p);
-    }
-  }
-  void refresh_quantized() override {
-    for (Module* m : {q_.get(), k_.get(), v_.get(), o_.get()}) {
-      m->refresh_quantized();
-    }
-  }
-  void invalidate_quantized() override {
-    for (Module* m : {q_.get(), k_.get(), v_.get(), o_.get()}) {
-      m->invalidate_quantized();
-    }
-  }
-
  private:
   std::size_t channels_;
   LayerNorm norm_;
-  std::unique_ptr<Module> q_, k_, v_, o_;
-  // Cached forward state.
-  std::size_t n_ = 0, l_ = 0;
-  Tensor rows_;                      // [N*L, C] pre-norm input rows
+  Child<Module> q_, k_, v_, o_;
+  // Recorded by the training forward for backward.
   Tensor q_rows_, k_rows_, v_rows_;  // [N*L, C]
   Tensor attn_;                      // [N, L, L]
+
+  /// The forward graph, written once: instantiated for a const owner it
+  /// is the read-only forward, for a mutable one the training forward.
+  template <class Self>
+  static Tensor graph(Self& self, const Tensor& input);
 };
 
 }  // namespace repro::nn

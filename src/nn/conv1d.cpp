@@ -1,6 +1,7 @@
 #include "nn/conv1d.hpp"
 
 #include <cstring>
+#include <utility>
 
 #include "common/parallel/parallel_for.hpp"
 #include "common/telemetry/trace.hpp"
@@ -23,13 +24,12 @@ Conv1d::Conv1d(std::size_t in_channels, std::size_t out_channels,
   kaiming_normal(weight_.value, in_channels * kernel, rng);
 }
 
-Tensor Conv1d::forward(const Tensor& input) {
+Tensor Conv1d::forward(const Tensor& input) const {
   REPRO_SPAN("nn.conv1d.forward");
   if (input.rank() != 3 || input.dim(1) != cin_) {
     throw std::invalid_argument("Conv1d::forward: bad input " +
                                 input.shape_string());
   }
-  input_ = input;
   const std::size_t n = input.dim(0), lin = input.dim(2);
   const std::size_t lout = out_length(lin);
   const std::size_t kc = cin_ * kernel_;
@@ -74,20 +74,20 @@ Tensor Conv1d::forward(const Tensor& input) {
     float* crow = cp + oc * cols;
     for (std::size_t t = 0; t < cols; ++t) crow[t] = bv;
   }
-  if (precision_ == Precision::kInt8) {
-    if (!quant_valid_) refresh_quantized();
-    kernels::qgemm_nn(cout_, kc, cols, qweight_, colp, cp,
-                      kernels::Accumulate::kAdd);
-  } else {
-    kernels::gemm_nn(cout_, kc, cols, weight_.value.data(), colp, cp,
-                     kernels::Accumulate::kAdd);
-  }
+  kernels::gemm_nn(cout_, kc, cols, weight_.value.data(), colp, cp,
+                   kernels::Accumulate::kAdd);
   for (std::size_t b = 0; b < n; ++b) {
     for (std::size_t oc = 0; oc < cout_; ++oc) {
       std::memcpy(out.data() + (b * cout_ + oc) * lout,
                   cp + oc * cols + b * lout, lout * sizeof(float));
     }
   }
+  return out;
+}
+
+Tensor Conv1d::forward(const Tensor& input) {
+  Tensor out = std::as_const(*this).forward(input);
+  input_ = input;
   return out;
 }
 
@@ -177,18 +177,6 @@ void Conv1d::set_trainable(bool trainable) noexcept {
 void Conv1d::zero_init() noexcept {
   weight_.value.fill(0.0f);
   bias_.value.fill(0.0f);
-  invalidate_quantized();
-}
-
-void Conv1d::refresh_quantized() {
-  qweight_ =
-      kernels::quantize_tensor(weight_.value.data(), weight_.value.size());
-  quant_valid_ = true;
-}
-
-void Conv1d::invalidate_quantized() {
-  qweight_.clear();
-  quant_valid_ = false;
 }
 
 }  // namespace repro::nn

@@ -5,7 +5,6 @@
 #pragma once
 
 #include "common/rng.hpp"
-#include "nn/kernels/qgemm.hpp"
 #include "nn/module.hpp"
 
 namespace repro::nn {
@@ -17,6 +16,7 @@ class Conv1d : public Module {
          std::size_t padding = SIZE_MAX /* = kernel/2 ("same") */,
          const std::string& name = "conv1d");
 
+  Tensor forward(const Tensor& input) const override;
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
@@ -33,20 +33,11 @@ class Conv1d : public Module {
   /// fusion layers start as identity-of-nothing.
   void zero_init() noexcept;
 
-  /// Int8 forward route: the im2col GEMM runs through kernels::qgemm_nn
-  /// against an absmax-calibrated int8 weight cache. Backward stays fp32.
-  void set_precision(Precision p) override { precision_ = p; }
-  void refresh_quantized() override;
-  void invalidate_quantized() override;
-
  private:
   std::size_t cin_, cout_, kernel_, stride_, padding_;
   Parameter weight_;  // [cout, cin, k]
   Parameter bias_;    // [cout]
-  Tensor input_;
-  Precision precision_ = Precision::kFp32;
-  kernels::QuantizedTensor qweight_;  // [cout, cin*k], valid iff quant_valid_
-  bool quant_valid_ = false;
+  Tensor input_;  // recorded for backward
 };
 
 }  // namespace repro::nn

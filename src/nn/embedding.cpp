@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "nn/init.hpp"
 
@@ -13,19 +14,26 @@ Embedding::Embedding(std::size_t vocab, std::size_t dim, Rng& rng,
   normal_init(table_.value, 0.02f, rng);
 }
 
-Tensor Embedding::forward(const Tensor& ids) {
+Tensor Embedding::forward(const Tensor& ids) const {
   const std::size_t n = ids.size();
-  last_ids_.resize(n);
   Tensor out({n, dim_});
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<std::size_t>(ids[i]);
     if (id >= vocab_) {
       throw std::out_of_range("Embedding::forward: id out of range");
     }
-    last_ids_[i] = id;
     const float* row = table_.value.data() + id * dim_;
     float* orow = out.data() + i * dim_;
     for (std::size_t j = 0; j < dim_; ++j) orow[j] = row[j];
+  }
+  return out;
+}
+
+Tensor Embedding::forward(const Tensor& ids) {
+  Tensor out = std::as_const(*this).forward(ids);
+  last_ids_.resize(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    last_ids_[i] = static_cast<std::size_t>(ids[i]);
   }
   return out;
 }

@@ -9,12 +9,13 @@ namespace repro::nn {
 
 /// Lookup table [vocab, dim]. Forward consumes integer ids (cast to float
 /// in a [N] tensor) and yields [N, dim]. Backward scatters gradients into
-/// the rows selected at forward time.
+/// the rows selected by the last training forward.
 class Embedding : public Module {
  public:
   Embedding(std::size_t vocab, std::size_t dim, Rng& rng,
             const std::string& name = "embedding");
 
+  Tensor forward(const Tensor& ids) const override;
   Tensor forward(const Tensor& ids) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
@@ -26,7 +27,7 @@ class Embedding : public Module {
  private:
   std::size_t vocab_, dim_;
   Parameter table_;
-  std::vector<std::size_t> last_ids_;
+  std::vector<std::size_t> last_ids_;  // recorded for backward
 };
 
 /// Sinusoidal position/timestep encoding: out[2i] = sin(t / 10000^{2i/d}),

@@ -1,6 +1,7 @@
 #include "nn/linear.hpp"
 
 #include <cstring>
+#include <utility>
 
 #include "common/parallel/parallel_for.hpp"
 #include "common/telemetry/trace.hpp"
@@ -19,13 +20,12 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng,
   kaiming_normal(weight_.value, in_features, rng);
 }
 
-Tensor Linear::forward(const Tensor& input) {
+Tensor Linear::forward(const Tensor& input) const {
   REPRO_SPAN("nn.linear.forward");
   if (input.rank() != 2 || input.dim(1) != in_) {
     throw std::invalid_argument("Linear::forward: bad input " +
                                 input.shape_string());
   }
-  input_ = input;
   const std::size_t n = input.dim(0);
   Tensor out({n, out_});
   if (has_bias_) {
@@ -38,13 +38,14 @@ Tensor Linear::forward(const Tensor& input) {
   }
   const kernels::Accumulate acc = has_bias_ ? kernels::Accumulate::kAdd
                                             : kernels::Accumulate::kOverwrite;
-  if (precision_ == Precision::kInt8) {
-    if (!quant_valid_) refresh_quantized();
-    kernels::qgemm_nt(n, in_, out_, input.data(), qweight_, out.data(), acc);
-  } else {
-    kernels::gemm_nt(n, in_, out_, input.data(), weight_.value.data(),
-                     out.data(), acc);
-  }
+  kernels::gemm_nt(n, in_, out_, input.data(), weight_.value.data(),
+                   out.data(), acc);
+  return out;
+}
+
+Tensor Linear::forward(const Tensor& input) {
+  Tensor out = std::as_const(*this).forward(input);
+  input_ = input;
   return out;
 }
 
@@ -77,17 +78,6 @@ std::vector<Parameter*> Linear::parameters() {
 void Linear::set_trainable(bool trainable) noexcept {
   weight_.trainable = trainable;
   bias_.trainable = trainable;
-}
-
-void Linear::refresh_quantized() {
-  qweight_ =
-      kernels::quantize_tensor(weight_.value.data(), weight_.value.size());
-  quant_valid_ = true;
-}
-
-void Linear::invalidate_quantized() {
-  qweight_.clear();
-  quant_valid_ = false;
 }
 
 }  // namespace repro::nn

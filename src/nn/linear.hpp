@@ -2,7 +2,6 @@
 #pragma once
 
 #include "common/rng.hpp"
-#include "nn/kernels/qgemm.hpp"
 #include "nn/module.hpp"
 
 namespace repro::nn {
@@ -12,6 +11,7 @@ class Linear : public Module {
   Linear(std::size_t in_features, std::size_t out_features, Rng& rng,
          bool bias = true, const std::string& name = "linear");
 
+  Tensor forward(const Tensor& input) const override;
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
@@ -20,27 +20,19 @@ class Linear : public Module {
   std::size_t out_features() const noexcept { return out_; }
 
   Parameter& weight() noexcept { return weight_; }
+  const Parameter& weight() const noexcept { return weight_; }
   Parameter& bias() noexcept { return bias_; }
   bool has_bias() const noexcept { return has_bias_; }
 
   /// Freeze/unfreeze the base weights (LoRA fine-tuning).
   void set_trainable(bool trainable) noexcept;
 
-  /// Int8 forward route: x W^T runs through kernels::qgemm_nt against an
-  /// absmax-calibrated int8 weight cache. Backward stays fp32.
-  void set_precision(Precision p) override { precision_ = p; }
-  void refresh_quantized() override;
-  void invalidate_quantized() override;
-
  private:
   std::size_t in_, out_;
   bool has_bias_;
   Parameter weight_;  // [out, in]
   Parameter bias_;    // [out]
-  Tensor input_;      // cached for backward
-  Precision precision_ = Precision::kFp32;
-  kernels::QuantizedTensor qweight_;  // valid iff quant_valid_
-  bool quant_valid_ = false;
+  Tensor input_;      // recorded for backward
 };
 
 }  // namespace repro::nn

@@ -1,6 +1,8 @@
 #include "nn/lora.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "nn/arena.hpp"
 #include "nn/init.hpp"
@@ -24,27 +26,37 @@ LoraLinear::LoraLinear(std::unique_ptr<Linear> base, std::size_t rank,
   }
 }
 
-Tensor LoraLinear::forward(const Tensor& input) {
-  input_ = input;
-  Tensor out = base_->forward(input);
-  if (rank_ > 0) {
-    const std::size_t n = input.dim(0);
-    const std::size_t out_f = base_->out_features();
-    if (ax_.shape() != std::vector<std::size_t>{n, rank_}) {
-      ax_ = Tensor({n, rank_});
-    }
-    kernels::gemm_nt(n, base_->in_features(), rank_, input.data(),
-                     a_.value.data(), ax_.data());
-    // delta = (Ax) B^T into arena scratch, folded into out with scaling.
-    TensorArena::Handle delta = TensorArena::scratch().acquire(n * out_f);
-    kernels::gemm_nt(n, rank_, out_f, ax_.data(), b_.value.data(),
-                     delta.data());
-    float* o = out.data();
-    const float* d = delta.data();
-    for (std::size_t i = 0; i < n * out_f; ++i) o[i] += scaling_ * d[i];
+template <class Self>
+Tensor LoraLinear::graph(Self& self, const Tensor& input) {
+  Tensor out = self.base_->forward(input);
+  if (self.rank_ == 0) return out;
+  const std::size_t n = input.dim(0);
+  const std::size_t r = self.rank_;
+  const std::size_t out_f = self.base_->out_features();
+  TensorArena& arena = TensorArena::scratch();
+  TensorArena::Handle ax = arena.acquire(n * r);
+  kernels::gemm_nt(n, self.base_->in_features(), r, input.data(),
+                   self.a_.value.data(), ax.data());
+  // delta = (Ax) B^T into arena scratch, folded into out with scaling.
+  TensorArena::Handle delta = arena.acquire(n * out_f);
+  kernels::gemm_nt(n, r, out_f, ax.data(), self.b_.value.data(),
+                   delta.data());
+  float* o = out.data();
+  const float* d = delta.data();
+  for (std::size_t i = 0; i < n * out_f; ++i) o[i] += self.scaling_ * d[i];
+  if constexpr (!std::is_const_v<Self>) {
+    self.input_ = input;
+    self.ax_ = Tensor({n, r});
+    std::copy(ax.data(), ax.data() + n * r, self.ax_.data());
   }
   return out;
 }
+
+Tensor LoraLinear::forward(const Tensor& input) const {
+  return graph(*this, input);
+}
+
+Tensor LoraLinear::forward(const Tensor& input) { return graph(*this, input); }
 
 Tensor LoraLinear::backward(const Tensor& grad_output) {
   Tensor grad_input = base_->backward(grad_output);

@@ -21,6 +21,7 @@ class LoraLinear : public Module {
   LoraLinear(std::unique_ptr<Linear> base, std::size_t rank, float alpha,
              Rng& rng, const std::string& name = "lora");
 
+  Tensor forward(const Tensor& input) const override;
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
@@ -35,21 +36,19 @@ class LoraLinear : public Module {
   /// W + (alpha/r) * B A, shape [out, in].
   Tensor merged_weight() const;
 
-  /// Quantized route: only the dense base runs int8; the rank-r adapter
-  /// matmuls are tiny and stay fp32, so a fine-tuned adapter keeps full
-  /// precision on top of the quantized base.
-  void set_precision(Precision p) override { base_->set_precision(p); }
-  void refresh_quantized() override { base_->refresh_quantized(); }
-  void invalidate_quantized() override { base_->invalidate_quantized(); }
-
  private:
-  std::unique_ptr<Linear> base_;
+  /// The forward graph, written once: instantiated for a const owner it
+  /// is the read-only forward, for a mutable one the training forward.
+  template <class Self>
+  static Tensor graph(Self& self, const Tensor& input);
+
+  Child<Linear> base_;
   std::size_t rank_;
   float scaling_;
   Parameter a_;  // [r, in]
   Parameter b_;  // [out, r]
-  Tensor input_;
-  Tensor ax_;  // cached A x^T intermediate, [N, r]
+  Tensor input_;  // recorded for backward
+  Tensor ax_;     // recorded A x^T intermediate, [N, r]
 };
 
 }  // namespace repro::nn

@@ -1,19 +1,34 @@
-// Module interface: a layer owning parameters, caching forward
-// activations, and implementing an explicit backward pass.
+// Module interface: a layer owning parameters, with one read-only
+// forward and an explicit backward pass.
 //
-// Contract: `forward` must be called before `backward`; `backward`
-// consumes the gradient of the loss w.r.t. the module output and returns
-// the gradient w.r.t. the module input, accumulating parameter gradients
-// (`Parameter::grad`) as a side effect. Each module instance may be used
-// once per forward/backward cycle (networks needing reuse instantiate the
-// module twice, as ControlNet does with its trainable copy).
+// Contract:
+//   * `forward(x) const` is the layer's math and the whole inference
+//     path. It is a pure function of the parameters and `x`: it writes
+//     no member and keeps its temporaries in TensorArena scratch, so any
+//     number of threads may run it on one shared model at once.
+//   * `forward(x)` (non-const) is the training entry point. It records
+//     what backward needs (the input, a normalized copy, attention
+//     weights), then runs the same math as the const forward. Which one
+//     a call reaches follows the constness of the object: code holding
+//     a `const` model can only ever run the read-only path.
+//   * `backward` consumes the gradient of the loss w.r.t. the output of
+//     the last training forward and returns the gradient w.r.t. its
+//     input, accumulating parameter gradients (`Parameter::grad`) as a
+//     side effect. Each module instance records one training forward at
+//     a time (networks needing reuse instantiate the module twice, as
+//     ControlNet does with its trainable copy).
+//
+// Composite layers write their graph once, as a template over the owner's
+// constness (see SelfAttention1d::graph); children held by pointer sit
+// behind `propagate_const`, so a const owner reaches only their const
+// forward.
 #pragma once
 
+#include <experimental/propagate_const>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "nn/precision.hpp"
 #include "nn/tensor.hpp"
 
 namespace repro::nn {
@@ -35,29 +50,22 @@ struct Parameter {
   void zero_grad() noexcept { grad.fill(0.0f); }
 };
 
+/// Owning child pointer whose constness follows its owner's.
+template <class T>
+using Child = std::experimental::propagate_const<std::unique_ptr<T>>;
+
 class Module {
  public:
   virtual ~Module() = default;
 
+  /// Inference: reads parameters and `input` only.
+  virtual Tensor forward(const Tensor& input) const = 0;
+  /// Training: records for backward, then runs the const forward's math.
   virtual Tensor forward(const Tensor& input) = 0;
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
   /// All parameters owned by this module (and submodules).
   virtual std::vector<Parameter*> parameters() { return {}; }
-
-  /// Execution mode for subsequent forward() calls (precision.hpp).
-  /// Default no-op: only matmul-backed modules (Linear, Conv1d) and
-  /// their wrappers have a quantized route; backward is always fp32.
-  virtual void set_precision(Precision) {}
-
-  /// Re-runs absmax calibration from the current weights, (re)building
-  /// the cached int8 copy. Called at checkpoint-load time; the int8
-  /// forward also calibrates lazily if the cache is missing.
-  virtual void refresh_quantized() {}
-
-  /// Drops the cached int8 weights (weights changed — end of training);
-  /// the next int8 forward re-calibrates.
-  virtual void invalidate_quantized() {}
 
   void zero_grad() {
     for (Parameter* p : parameters()) p->zero_grad();

@@ -17,17 +17,25 @@ GroupNorm::GroupNorm(std::size_t channels, std::size_t groups,
   }
 }
 
+Tensor GroupNorm::forward(const Tensor& input) const {
+  return normalize(input, nullptr, nullptr);
+}
+
 Tensor GroupNorm::forward(const Tensor& input) {
+  return normalize(input, &normalized_, &inv_std_);
+}
+
+Tensor GroupNorm::normalize(const Tensor& input, Tensor* normalized,
+                            std::vector<float>* inv_std) const {
   if (input.rank() != 3 || input.dim(1) != channels_) {
     throw std::invalid_argument("GroupNorm::forward: bad input " +
                                 input.shape_string());
   }
-  input_ = input;
   const std::size_t n = input.dim(0), l = input.dim(2);
   const std::size_t cpg = channels_ / groups_;
   const std::size_t group_size = cpg * l;
-  normalized_ = Tensor(input.shape());
-  inv_std_.assign(n * groups_, 0.0f);
+  if (normalized != nullptr) *normalized = Tensor(input.shape());
+  if (inv_std != nullptr) inv_std->assign(n * groups_, 0.0f);
   Tensor out(input.shape());
   for (std::size_t b = 0; b < n; ++b) {
     for (std::size_t g = 0; g < groups_; ++g) {
@@ -42,15 +50,17 @@ Tensor GroupNorm::forward(const Tensor& input) {
       }
       const double mean = sum / static_cast<double>(group_size);
       const double var = sq / static_cast<double>(group_size) - mean * mean;
-      const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
-      inv_std_[b * groups_ + g] = inv_std;
+      const float is = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
+      if (inv_std != nullptr) (*inv_std)[b * groups_ + g] = is;
       for (std::size_t c = c0; c < c0 + cpg; ++c) {
         const float* row = input.data() + (b * channels_ + c) * l;
-        float* nrow = normalized_.data() + (b * channels_ + c) * l;
+        float* nrow = normalized != nullptr
+                          ? normalized->data() + (b * channels_ + c) * l
+                          : nullptr;
         float* orow = out.data() + (b * channels_ + c) * l;
         for (std::size_t t = 0; t < l; ++t) {
-          const float xhat = (row[t] - static_cast<float>(mean)) * inv_std;
-          nrow[t] = xhat;
+          const float xhat = (row[t] - static_cast<float>(mean)) * is;
+          if (nrow != nullptr) nrow[t] = xhat;
           orow[t] = gamma_.value[c] * xhat + beta_.value[c];
         }
       }
@@ -60,11 +70,11 @@ Tensor GroupNorm::forward(const Tensor& input) {
 }
 
 Tensor GroupNorm::backward(const Tensor& grad_output) {
-  grad_output.require_shape(input_.shape(), "GroupNorm::backward");
-  const std::size_t n = input_.dim(0), l = input_.dim(2);
+  grad_output.require_shape(normalized_.shape(), "GroupNorm::backward");
+  const std::size_t n = normalized_.dim(0), l = normalized_.dim(2);
   const std::size_t cpg = channels_ / groups_;
   const auto m = static_cast<double>(cpg * l);
-  Tensor grad_input(input_.shape());
+  Tensor grad_input(normalized_.shape());
   for (std::size_t b = 0; b < n; ++b) {
     for (std::size_t g = 0; g < groups_; ++g) {
       const std::size_t c0 = g * cpg;
@@ -113,19 +123,28 @@ LayerNorm::LayerNorm(std::size_t dim, const std::string& name, float eps)
       gamma_(name + ".gamma", Tensor::full({dim}, 1.0f)),
       beta_(name + ".beta", Tensor::zeros({dim})) {}
 
+Tensor LayerNorm::forward(const Tensor& input) const {
+  return normalize(input, nullptr, nullptr);
+}
+
 Tensor LayerNorm::forward(const Tensor& input) {
+  return normalize(input, &normalized_, &inv_std_);
+}
+
+Tensor LayerNorm::normalize(const Tensor& input, Tensor* normalized,
+                            std::vector<float>* inv_std) const {
   if (input.rank() < 1 || input.shape().back() != dim_) {
     throw std::invalid_argument("LayerNorm::forward: bad input " +
                                 input.shape_string());
   }
-  in_shape_ = input.shape();
   const std::size_t rows = input.size() / dim_;
-  normalized_ = Tensor(input.shape());
-  inv_std_.assign(rows, 0.0f);
+  if (normalized != nullptr) *normalized = Tensor(input.shape());
+  if (inv_std != nullptr) inv_std->assign(rows, 0.0f);
   Tensor out(input.shape());
   for (std::size_t r = 0; r < rows; ++r) {
     const float* x = input.data() + r * dim_;
-    float* nrow = normalized_.data() + r * dim_;
+    float* nrow =
+        normalized != nullptr ? normalized->data() + r * dim_ : nullptr;
     float* orow = out.data() + r * dim_;
     double sum = 0.0, sq = 0.0;
     for (std::size_t j = 0; j < dim_; ++j) {
@@ -134,11 +153,11 @@ Tensor LayerNorm::forward(const Tensor& input) {
     }
     const double mean = sum / static_cast<double>(dim_);
     const double var = sq / static_cast<double>(dim_) - mean * mean;
-    const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
-    inv_std_[r] = inv_std;
+    const float is = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
+    if (inv_std != nullptr) (*inv_std)[r] = is;
     for (std::size_t j = 0; j < dim_; ++j) {
-      const float xhat = (x[j] - static_cast<float>(mean)) * inv_std;
-      nrow[j] = xhat;
+      const float xhat = (x[j] - static_cast<float>(mean)) * is;
+      if (nrow != nullptr) nrow[j] = xhat;
       orow[j] = gamma_.value[j] * xhat + beta_.value[j];
     }
   }
@@ -146,10 +165,10 @@ Tensor LayerNorm::forward(const Tensor& input) {
 }
 
 Tensor LayerNorm::backward(const Tensor& grad_output) {
-  grad_output.require_shape(in_shape_, "LayerNorm::backward");
+  grad_output.require_shape(normalized_.shape(), "LayerNorm::backward");
   const std::size_t rows = grad_output.size() / dim_;
   const auto m = static_cast<double>(dim_);
-  Tensor grad_input(in_shape_);
+  Tensor grad_input(normalized_.shape());
   for (std::size_t r = 0; r < rows; ++r) {
     const float* grow = grad_output.data() + r * dim_;
     const float* nrow = normalized_.data() + r * dim_;

@@ -14,6 +14,7 @@ class GroupNorm : public Module {
   GroupNorm(std::size_t channels, std::size_t groups,
             const std::string& name = "groupnorm", float eps = 1e-5f);
 
+  Tensor forward(const Tensor& input) const override;
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
@@ -24,9 +25,13 @@ class GroupNorm : public Module {
   float eps_;
   Parameter gamma_;  // [C]
   Parameter beta_;   // [C]
-  Tensor input_;
-  Tensor normalized_;           // cached \hat x
+  Tensor normalized_;           // recorded \hat x
   std::vector<float> inv_std_;  // per (n, group)
+
+  /// The layer's math. When non-null, `normalized` and `inv_std` receive
+  /// \hat x and the per-(n, group) inverse std for backward.
+  Tensor normalize(const Tensor& input, Tensor* normalized,
+                   std::vector<float>* inv_std) const;
 };
 
 class LayerNorm : public Module {
@@ -34,6 +39,7 @@ class LayerNorm : public Module {
   LayerNorm(std::size_t dim, const std::string& name = "layernorm",
             float eps = 1e-5f);
 
+  Tensor forward(const Tensor& input) const override;
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override;
@@ -44,9 +50,12 @@ class LayerNorm : public Module {
   float eps_;
   Parameter gamma_;
   Parameter beta_;
-  Tensor normalized_;
+  Tensor normalized_;           // recorded \hat x
   std::vector<float> inv_std_;  // per row
-  std::vector<std::size_t> in_shape_;
+
+  /// The layer's math; records like GroupNorm::normalize (per row).
+  Tensor normalize(const Tensor& input, Tensor* normalized,
+                   std::vector<float>* inv_std) const;
 };
 
 }  // namespace repro::nn

@@ -1,21 +1,17 @@
 // Layout shuffles between the convolutional [N, C, L] layout and the
 // position-major [N*L, C] layout dense layers consume. Both are copies;
 // at the model sizes used here the copies are negligible next to the
-// matmuls. The `_into` variants write a caller-owned tensor (reallocated
-// only on shape change) so steady-state callers reuse their staging
-// buffers instead of allocating per call.
+// matmuls.
 #pragma once
 
 #include "nn/tensor.hpp"
 
 namespace repro::nn {
 
-/// [N, C, L] -> [N*L, C] into `out` (resized only when the shape differs).
-inline void ncl_to_nlc_into(const Tensor& x, Tensor& out) {
+/// [N, C, L] -> [N*L, C].
+inline Tensor ncl_to_nlc(const Tensor& x) {
   const std::size_t n = x.dim(0), c = x.dim(1), l = x.dim(2);
-  if (out.shape() != std::vector<std::size_t>{n * l, c}) {
-    out = Tensor({n * l, c});
-  }
+  Tensor out({n * l, c});
   for (std::size_t b = 0; b < n; ++b) {
     for (std::size_t ch = 0; ch < c; ++ch) {
       const float* row = x.data() + (b * c + ch) * l;
@@ -24,22 +20,13 @@ inline void ncl_to_nlc_into(const Tensor& x, Tensor& out) {
       }
     }
   }
-}
-
-/// [N, C, L] -> [N*L, C].
-inline Tensor ncl_to_nlc(const Tensor& x) {
-  Tensor out;
-  ncl_to_nlc_into(x, out);
   return out;
 }
 
-/// [N*L, C] -> [N, C, L] into `out` (resized only when the shape differs).
-inline void nlc_to_ncl_into(const Tensor& x, std::size_t n, std::size_t l,
-                            Tensor& out) {
+/// [N*L, C] -> [N, C, L].
+inline Tensor nlc_to_ncl(const Tensor& x, std::size_t n, std::size_t l) {
   const std::size_t c = x.dim(1);
-  if (out.shape() != std::vector<std::size_t>{n, c, l}) {
-    out = Tensor({n, c, l});
-  }
+  Tensor out({n, c, l});
   for (std::size_t b = 0; b < n; ++b) {
     for (std::size_t t = 0; t < l; ++t) {
       const float* row = x.data() + (b * l + t) * c;
@@ -48,12 +35,6 @@ inline void nlc_to_ncl_into(const Tensor& x, std::size_t n, std::size_t l,
       }
     }
   }
-}
-
-/// [N*L, C] -> [N, C, L].
-inline Tensor nlc_to_ncl(const Tensor& x, std::size_t n, std::size_t l) {
-  Tensor out;
-  nlc_to_ncl_into(x, n, l, out);
   return out;
 }
 

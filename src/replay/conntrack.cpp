@@ -46,9 +46,13 @@ Verdict ConntrackFunction::process_tcp(net::Packet& packet,
   const bool from_a =
       raw.src_addr == key.src_addr && raw.src_port == key.src_port;
 
+  // An idle entry is recycled, and so is a closed one that a bare SYN
+  // reuses: as Linux conntrack after TIME_WAIT, the SYN opens anew.
+  const bool bare_syn = tcp.syn && !tcp.ack_flag;
   auto it = table_.find(key);
   if (it != table_.end() &&
-      timestamp - it->second.last_seen > config_.idle_timeout) {
+      (timestamp - it->second.last_seen > config_.idle_timeout ||
+       (bare_syn && it->second.state == TcpState::kClosed))) {
     table_.erase(it);
     it = table_.end();
   }
@@ -65,7 +69,7 @@ Verdict ConntrackFunction::process_tcp(net::Packet& packet,
 
   if (it == table_.end()) {
     // Only a bare SYN may open a connection.
-    if (!(tcp.syn && !tcp.ack_flag)) {
+    if (!bare_syn) {
       return reject(stats_.invalid_state);
     }
     Entry entry;

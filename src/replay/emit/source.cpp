@@ -17,7 +17,7 @@ std::optional<net::Flow> VectorFlowSource::next_flow() {
   return flows_[next_++];
 }
 
-LibraryFlowSource::LibraryFlowSource(diffusion::TraceDiffusion& pipeline,
+LibraryFlowSource::LibraryFlowSource(const diffusion::TraceDiffusion& pipeline,
                                      int class_id,
                                      diffusion::GenerateOptions options,
                                      std::uint64_t seed_base,
@@ -105,7 +105,6 @@ void ServedFlowSource::prefetch() {
     request.seed = config_.seed_base + next_request_;
     request.sampler = config_.sampler;
     request.ddim_steps = config_.ddim_steps;
-    request.precision = config_.precision;
 
     serve::SubmitResult result = service_.submit(request);
     if (!result.accepted) {

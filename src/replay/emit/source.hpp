@@ -71,7 +71,7 @@ class VectorFlowSource final : public FlowSource {
 /// unlimited.
 class LibraryFlowSource final : public FlowSource {
  public:
-  LibraryFlowSource(diffusion::TraceDiffusion& pipeline, int class_id,
+  LibraryFlowSource(const diffusion::TraceDiffusion& pipeline, int class_id,
                     diffusion::GenerateOptions options,
                     std::uint64_t seed_base, std::uint64_t total_flows);
 
@@ -82,7 +82,7 @@ class LibraryFlowSource final : public FlowSource {
   }
 
  private:
-  diffusion::TraceDiffusion& pipeline_;
+  const diffusion::TraceDiffusion& pipeline_;
   int class_id_;
   diffusion::GenerateOptions options_;
   std::uint64_t seed_base_;
@@ -103,7 +103,6 @@ struct ServedSourceConfig {
   std::size_t flows_per_request = 1;
   diffusion::SamplerKind sampler = diffusion::SamplerKind::kDdim;
   std::size_t ddim_steps = 20;
-  nn::Precision precision = nn::Precision::kFp32;
   /// Cooperative mode: when the ring runs dry, drive service.drain()
   /// from next_flow() so single-threaded tests/benches make progress.
   /// Disable when a background worker pumps the service.

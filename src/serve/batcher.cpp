@@ -8,7 +8,7 @@ namespace repro::serve {
 
 BatchKey batch_key_of(const GenerateRequest& request) {
   return BatchKey{request.model, request.class_id, request.sampler,
-                  request.ddim_steps, request.precision};
+                  request.ddim_steps};
 }
 
 bool BatchScheduler::should_dispatch(const RequestQueue& queue,

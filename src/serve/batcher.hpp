@@ -2,7 +2,7 @@
 // one batched model call.
 //
 // Requests are compatible when they share a BatchKey — (model, class,
-// sampler, steps, precision) — because those are exactly the parameters
+// sampler, steps) — because those are exactly the parameters
 // of the underlying generate_with_flow_seeds call; the per-flow seeds
 // make the outputs independent of how requests were grouped. The max-batch /
 // max-wait policy bounds latency under light load (a lone request waits
@@ -21,12 +21,10 @@ struct BatchKey {
   int class_id = 0;
   diffusion::SamplerKind sampler = diffusion::SamplerKind::kDdim;
   std::size_t steps = 0;
-  nn::Precision precision = nn::Precision::kFp32;
 
   friend bool operator==(const BatchKey& a, const BatchKey& b) {
     return a.model == b.model && a.class_id == b.class_id &&
-           a.sampler == b.sampler && a.steps == b.steps &&
-           a.precision == b.precision;
+           a.sampler == b.sampler && a.steps == b.steps;
   }
 };
 

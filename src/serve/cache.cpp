@@ -19,8 +19,6 @@ std::string encode(const CacheKey& key) {
   out.push_back(':');
   out += std::to_string(key.steps);
   out.push_back(':');
-  out += std::to_string(static_cast<int>(key.precision));
-  out.push_back(':');
   out += std::to_string(key.count);
   return out;
 }
@@ -29,9 +27,8 @@ std::string encode(const CacheKey& key) {
 
 CacheKey cache_key_of(const GenerateRequest& request,
                       const std::string& model_version) {
-  return CacheKey{model_version,    request.class_id,  request.seed,
-                  request.sampler,  request.ddim_steps, request.precision,
-                  request.count};
+  return CacheKey{model_version,   request.class_id,   request.seed,
+                  request.sampler, request.ddim_steps, request.count};
 }
 
 ResultCache::ResultCache(std::size_t capacity) : capacity_(capacity) {}

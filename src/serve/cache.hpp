@@ -2,7 +2,7 @@
 // determines the generated bits.
 //
 // The determinism contract makes caching sound: (model_version, class,
-// seed, sampler, steps, precision, count) fully determines a seeded generation's
+// seed, sampler, steps, count) fully determines a seeded generation's
 // output, so a hit can return the stored flows verbatim — a repeated
 // request is free and bit-identical. model_version in the key means a
 // registry hot-swap naturally invalidates (old entries become
@@ -28,7 +28,6 @@ struct CacheKey {
   std::uint64_t seed = 0;
   diffusion::SamplerKind sampler = diffusion::SamplerKind::kDdim;
   std::size_t steps = 0;
-  nn::Precision precision = nn::Precision::kFp32;
   std::size_t count = 0;
 };
 

@@ -356,8 +356,6 @@ void append_request_frame(std::vector<std::uint8_t>& out,
                                                                  : "distilled");
   frame.key("steps");
   frame.value_u64(request.ddim_steps);
-  frame.key("precision");
-  frame.value(request.precision == nn::Precision::kInt8 ? "int8" : "fp32");
   frame.key("priority");
   frame.value(request.priority == Priority::kHigh     ? "high"
               : request.priority == Priority::kNormal ? "normal"
@@ -431,14 +429,11 @@ std::optional<WireRequest> parse_request_payload(const std::string& payload,
       return std::nullopt;
     }
   }
+  // The model runs fp32 only. An explicit "fp32" is accepted; any other
+  // route is refused rather than silently served as fp32 bytes.
   if (const observe::JsonValue* v = doc->find("precision")) {
-    const std::string& name = v->str_or("");
-    if (name == "fp32") {
-      out.request.precision = nn::Precision::kFp32;
-    } else if (name == "int8") {
-      out.request.precision = nn::Precision::kInt8;
-    } else {
-      error = "field 'precision' must be \"fp32\" or \"int8\"";
+    if (v->str_or("") != "fp32") {
+      error = "field 'precision' must be \"fp32\"";
       return std::nullopt;
     }
   }

@@ -156,8 +156,11 @@ std::size_t SocketServer::poll_once(int timeout_ms) {
   }
 
   std::size_t work = 0;
+  // Only the connections that were in the pollfd set have a revents
+  // entry; those accept_ready() appends are polled from the next turn.
+  const std::size_t polled = conns_.size();
   if ((fds[0].revents & POLLIN) != 0) work += accept_ready();
-  for (std::size_t i = 0; i < conns_.size(); ++i) {
+  for (std::size_t i = 0; i < polled; ++i) {
     Connection& conn = conns_[i];
     const short revents = fds[i + 1].revents;
     if ((revents & (POLLIN | POLLERR | POLLHUP)) != 0) {

@@ -11,7 +11,7 @@
 // stream fork_flow_seed(request.seed, i) — the same derivation
 // TraceDiffusion::generate_seeded uses — so a served response is
 // bit-identical to a direct library call with the same
-// (model checkpoint, class, seed, sampler, steps, precision, count), no
+// (model checkpoint, class, seed, sampler, steps, count), no
 // matter how the batch scheduler coalesced it with other requests.
 #pragma once
 
@@ -51,11 +51,6 @@ struct GenerateRequest {
   std::uint64_t seed = 0;     ///< request-level seed (forked per flow)
   diffusion::SamplerKind sampler = diffusion::SamplerKind::kDdim;
   std::size_t ddim_steps = 20;
-  /// Numeric route for the model call (nn/precision.hpp). kInt8 output
-  /// differs from kFp32 by design, so precision is part of the cache
-  /// and coalescing keys — requests on different routes never share a
-  /// batch or a cached result.
-  nn::Precision precision = nn::Precision::kFp32;
   Priority priority = Priority::kNormal;
   /// Absolute service-clock deadline (seconds); if it passes before the
   /// request's batch is formed, the request is cancelled without any

@@ -250,7 +250,6 @@ std::size_t TraceService::execute(FormedBatch&& formed, double now) {
   diffusion::GenerateOptions opts = config_.base_options;
   opts.sampler = formed.key.sampler;
   opts.ddim_steps = formed.key.steps;
-  opts.precision = formed.key.precision;
   opts.count = formed.flows;
 
   stats_.batches.add();
@@ -258,10 +257,13 @@ std::size_t TraceService::execute(FormedBatch&& formed, double now) {
   note_event(observe::EventKind::kModelStart, 0, batch_id,
              static_cast<std::uint32_t>(formed.flows), 0, 0, now);
 
+  // Through a const reference: sampling reads the shared model only, so
+  // lanes running the same snapshot concurrently share nothing mutable.
+  const diffusion::TraceDiffusion& model = *snap->pipeline;
   std::vector<net::Flow> flows;
   try {
-    flows = snap->pipeline->generate_with_flow_seeds(formed.key.class_id,
-                                                     opts, flow_seeds);
+    flows = model.generate_with_flow_seeds(formed.key.class_id, opts,
+                                           flow_seeds);
   } catch (...) {
     // Model failure: flows=0 marks the aborted call; the member
     // timelines stay open, which is exactly what a post-mortem dump

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "net/checksum.hpp"
 
 namespace repro::net {
@@ -88,6 +90,10 @@ struct TcpFlagCase {
   const char* name;
   bool syn, ack, fin, rst, psh, urg, ece, cwr;
 };
+
+// Without a printer gtest shows a parameter as its raw bytes, pointers
+// included, and that text becomes part of the ctest name: print the label.
+void PrintTo(const TcpFlagCase& c, std::ostream* os) { *os << c.name; }
 
 class TcpFlagsTest : public ::testing::TestWithParam<TcpFlagCase> {};
 

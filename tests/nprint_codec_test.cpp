@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "net/packet.hpp"
 
 namespace repro::nprint {
@@ -74,6 +76,10 @@ struct RoundTripCase {
   const char* name;
   IpProto proto;
 };
+
+// Without a printer gtest shows a parameter as its raw bytes, pointers
+// included, and that text becomes part of the ctest name: print the label.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.name; }
 
 class CodecRoundTripTest : public ::testing::TestWithParam<RoundTripCase> {};
 

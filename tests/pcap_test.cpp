@@ -25,7 +25,13 @@ TEST(Pcap, StreamRoundTrip) {
   {
     PcapWriter writer(stream);
     for (const auto& pkt : sample_packets()) writer.write_packet(pkt);
-    EXPECT_EQ(writer.records_written(), 3u);
+    // Microsecond rounding: .9999990 stays in second 0, while .9999996
+    // rounds up to 1,000,000 us and must carry into the seconds field.
+    writer.write_packet(
+        make_udp_packet(0x0A000001, 0x0D0D0D0D, 40002, 53, 32, 0.9999990));
+    writer.write_packet(
+        make_udp_packet(0x0A000001, 0x0D0D0D0D, 40003, 53, 32, 0.9999996));
+    EXPECT_EQ(writer.records_written(), 5u);
   }
   stream.seekg(0);
   PcapReader reader(stream);
@@ -39,6 +45,10 @@ TEST(Pcap, StreamRoundTrip) {
   EXPECT_NEAR(pkt.timestamp, 0.25, 1e-6);
   ASSERT_TRUE(reader.next_packet(pkt));
   EXPECT_TRUE(pkt.icmp.has_value());
+  ASSERT_TRUE(reader.next_packet(pkt));
+  EXPECT_NEAR(pkt.timestamp, 0.999999, 1e-9);
+  ASSERT_TRUE(reader.next_packet(pkt));
+  EXPECT_NEAR(pkt.timestamp, 1.000000, 1e-9);
   EXPECT_FALSE(reader.next_packet(pkt));
 }
 

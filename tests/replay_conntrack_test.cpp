@@ -148,6 +148,20 @@ TEST(Conntrack, IdleTimeoutRecyclesEntries) {
   EXPECT_EQ(tracker.stats().connections_tracked, 2u);
 }
 
+TEST(Conntrack, SynReopensClosedTuple) {
+  // A finished session replayed on the same 5-tuple: the second SYN
+  // finds a kClosed entry and opens a new connection, as Linux conntrack
+  // does after TIME_WAIT, instead of being dropped until idle_timeout.
+  ConntrackFunction tracker;
+  const net::Flow flow = tcp_flow(12);
+  ASSERT_EQ(flow.packets.size(), 12u);
+  EXPECT_EQ(feed(tracker, flow), 12u);
+  EXPECT_EQ(tracker.state_of(flow.packets.back()), TcpState::kClosed);
+  EXPECT_EQ(feed(tracker, flow), 12u);
+  EXPECT_EQ(tracker.stats().connections_tracked, 2u);
+  EXPECT_EQ(tracker.stats().teardowns_completed, 2u);
+}
+
 TEST(Conntrack, UdpAndIcmpPassStateless) {
   ConntrackFunction tracker;
   net::Packet udp = net::make_udp_packet(1, 2, 3, 4, 8, 0.0);

@@ -78,8 +78,7 @@ TEST(WireProtocol, RequestFrameGoldenBytes) {
 
   const std::string payload =
       "{\"model\":\"default\",\"class_id\":1,\"count\":2,\"seed\":\"42\","
-      "\"sampler\":\"ddim\",\"steps\":4,\"precision\":\"fp32\","
-      "\"priority\":\"normal\"}";
+      "\"sampler\":\"ddim\",\"steps\":4,\"priority\":\"normal\"}";
   ASSERT_EQ(out.size(), kHeaderBytes + payload.size());
   EXPECT_EQ(out[0], kFrameMagic);
   EXPECT_EQ(out[1], kProtocolVersion);
@@ -97,7 +96,6 @@ TEST(WireProtocol, RequestRoundTripPreservesEveryField) {
   r.seed = 18446744073709551615ULL;  // > 2^53: needs the string path
   r.sampler = diffusion::SamplerKind::kDdpm;
   r.ddim_steps = 11;
-  r.precision = nn::Precision::kInt8;
   r.priority = Priority::kHigh;
 
   std::vector<std::uint8_t> out;
@@ -117,7 +115,6 @@ TEST(WireProtocol, RequestRoundTripPreservesEveryField) {
   EXPECT_EQ(decoded->request.seed, r.seed);  // bit-exact above 2^53
   EXPECT_EQ(decoded->request.sampler, r.sampler);
   EXPECT_EQ(decoded->request.ddim_steps, r.ddim_steps);
-  EXPECT_EQ(decoded->request.precision, r.precision);
   EXPECT_EQ(decoded->request.priority, r.priority);
   EXPECT_DOUBLE_EQ(decoded->deadline_ms, 1500.0);
 }
@@ -328,6 +325,7 @@ TEST(WireProtocol, MalformedRequestPayloadsAreTypedErrors) {
       "{\"seed\":\"12x4\"}",                  // non-decimal seed string
       "{\"sampler\":\"euler\"}",              // unknown sampler
       "{\"precision\":\"fp16\"}",             // unknown precision
+      "{\"precision\":\"int8\"}",             // removed int8 route
       "{\"steps\":0}",                        // zero steps
       "{\"priority\":\"urgent\"}",            // unknown priority
       "{\"deadline_ms\":-5}",                 // negative deadline
@@ -344,14 +342,14 @@ TEST(WireProtocol, MalformedRequestPayloadsAreTypedErrors) {
       "{\"model\":\"default\",\"future_field\":true}", error);
   ASSERT_TRUE(ok.has_value()) << error;
   EXPECT_EQ(ok->request.model, "default");
-  // The fast-path spellings parse to their enums.
+  // The fast-path spelling parses to its enum, and an explicit fp32
+  // route (the only one the model runs) is accepted.
   const auto fast = parse_request_payload(
       "{\"model\":\"default\",\"sampler\":\"distilled\","
-      "\"precision\":\"int8\"}",
+      "\"precision\":\"fp32\"}",
       error);
   ASSERT_TRUE(fast.has_value()) << error;
   EXPECT_EQ(fast->request.sampler, diffusion::SamplerKind::kDistilled);
-  EXPECT_EQ(fast->request.precision, nn::Precision::kInt8);
 }
 
 // --- Live-server conformance ----------------------------------------------
@@ -410,6 +408,7 @@ TEST_F(SocketConformanceTest, MalformedPayloadsKeepTheConnectionOpen) {
       "{\"model\":\"m\"} trailing junk",
       "[1,2,3]",
       "{\"sampler\":\"euler\"}",
+      "{\"model\":\"default\",\"precision\":\"int8\"}",
   };
   BlockingClient client(server_->port());
   for (const char* payload : corpus) {

@@ -341,92 +341,24 @@ TEST_F(ServeTest, IncompatibleRequestsAreNotCoalesced) {
   EXPECT_EQ(b.response.get().batch_flows, 1u);
 }
 
-TEST_F(ServeTest, PrecisionAndSamplerAreCoalescingBarriers) {
-  // Requests on different numeric routes (or samplers) produce different
-  // bits by design, so coalescing them into one model call would let
-  // batch-mates change a request's payload. Each must get its own batch.
+TEST_F(ServeTest, SamplerIsACoalescingBarrier) {
+  // Requests on different samplers produce different bits by design, so
+  // coalescing them into one model call would let batch-mates change a
+  // request's payload. Each must get its own batch.
   ServiceConfig cfg = fast_config();
   cfg.cache_capacity = 0;
   TraceService service(registry_, cfg);
-  auto fp32 = service.submit(request(0, 1));
-  GenerateRequest int8_req = request(0, 2);
-  int8_req.precision = nn::Precision::kInt8;
-  auto int8 = service.submit(int8_req);
+  auto ddim = service.submit(request(0, 1));
   GenerateRequest distilled_req = request(0, 3);
   distilled_req.sampler = diffusion::SamplerKind::kDistilled;
   auto distilled = service.submit(distilled_req);
-  ASSERT_TRUE(fp32.accepted && int8.accepted && distilled.accepted);
-  // Three distinct batch keys: each pump dispatches exactly one batch.
+  ASSERT_TRUE(ddim.accepted && distilled.accepted);
+  // Two distinct batch keys: each pump dispatches exactly one batch.
   EXPECT_EQ(service.pump(), 1u);
-  EXPECT_EQ(service.pending(), 2u);
+  EXPECT_EQ(service.pending(), 1u);
   EXPECT_EQ(service.pump(), 1u);
-  EXPECT_EQ(service.pump(), 1u);
-  EXPECT_EQ(fp32.response.get().batch_flows, 1u);
-  EXPECT_EQ(int8.response.get().batch_flows, 1u);
+  EXPECT_EQ(ddim.response.get().batch_flows, 1u);
   EXPECT_EQ(distilled.response.get().batch_flows, 1u);
-}
-
-TEST_F(ServeTest, PrecisionIsPartOfTheCacheKey) {
-  TraceService service(registry_, fast_config());
-  auto fp32 = service.submit(request(0, 321, 2));
-  ASSERT_TRUE(fp32.accepted);
-  service.drain();
-  ASSERT_EQ(fp32.response.get().status, ResponseStatus::kOk);
-
-  // Identical (model, class, seed, steps, count) on the int8 route must
-  // NOT be served from the fp32 entry — the routes differ numerically.
-  GenerateRequest int8_req = request(0, 321, 2);
-  int8_req.precision = nn::Precision::kInt8;
-  auto int8_first = service.submit(int8_req);
-  ASSERT_TRUE(int8_first.accepted);
-  service.drain();
-  const Response int8_miss = int8_first.response.get();
-  ASSERT_EQ(int8_miss.status, ResponseStatus::kOk);
-  EXPECT_FALSE(int8_miss.cache_hit);
-
-  // Each route then hits its own entry.
-  auto int8_again = service.submit(int8_req);
-  ASSERT_TRUE(int8_again.accepted);
-  EXPECT_TRUE(int8_again.response.get().cache_hit);
-  auto fp32_again = service.submit(request(0, 321, 2));
-  ASSERT_TRUE(fp32_again.accepted);
-  EXPECT_TRUE(fp32_again.response.get().cache_hit);
-}
-
-TEST_F(ServeTest, ServedInt8MatchesLibraryBitExact) {
-  // The serve-vs-direct contract on the quantized route, with a batch
-  // mate sharing the dispatch — and the fp32 route must be bit-identical
-  // to the library afterwards (precision never leaks between requests).
-  diffusion::GenerateOptions lib_opts;
-  lib_opts.count = 2;
-  lib_opts.ddim_steps = 4;
-  lib_opts.precision = nn::Precision::kInt8;
-  const std::uint64_t int8_lib =
-      hash_flows(pipeline_->generate_seeded(1, lib_opts, 88));
-  lib_opts.precision = nn::Precision::kFp32;
-  const std::uint64_t fp32_lib =
-      hash_flows(pipeline_->generate_seeded(1, lib_opts, 88));
-
-  ServiceConfig cfg = fast_config();
-  cfg.cache_capacity = 0;
-  TraceService service(registry_, cfg);
-  GenerateRequest int8_req = request(1, 88, 2);
-  int8_req.precision = nn::Precision::kInt8;
-  auto target = service.submit(int8_req);
-  GenerateRequest mate_req = request(1, 99, 1);
-  mate_req.precision = nn::Precision::kInt8;
-  auto mate = service.submit(mate_req);
-  ASSERT_TRUE(target.accepted && mate.accepted);
-  service.drain();
-  const Response int8_resp = target.response.get();
-  ASSERT_EQ(int8_resp.status, ResponseStatus::kOk);
-  EXPECT_GE(int8_resp.batch_flows, 3u);
-  EXPECT_EQ(hash_flows(int8_resp.flows), int8_lib);
-
-  auto fp32 = service.submit(request(1, 88, 2));
-  ASSERT_TRUE(fp32.accepted);
-  service.drain();
-  EXPECT_EQ(hash_flows(fp32.response.get().flows), fp32_lib);
 }
 
 TEST_F(ServeTest, ServedDistilledMatchesLibraryBitExact) {
@@ -800,8 +732,7 @@ TEST(ResultCacheTest, LruEvictsLeastRecentlyUsed) {
   ResultCache cache(2);
   net::Flow f;
   f.label = 7;
-  CacheKey a{"v1", 0, 1, diffusion::SamplerKind::kDdim, 4,
-             nn::Precision::kFp32, 1};
+  CacheKey a{"v1", 0, 1, diffusion::SamplerKind::kDdim, 4, 1};
   CacheKey b = a;
   b.seed = 2;
   CacheKey c = a;

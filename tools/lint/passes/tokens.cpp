@@ -43,10 +43,6 @@ std::vector<Rule> build_rules() {
   static constexpr const char* kSocketPattern =
       R"(#\s*include\s*<(sys/socket\.h|sys/epoll\.h|(sys/)?poll\.h)"
       R"(|netinet/[a-z0-9_]+\.h|arpa/inet\.h)>)";
-  // The int8 storage types (std::int8_t / uint8_t / signed char), which
-  // in src/nn only the quantized-GEMM kernel file may touch.
-  static constexpr const char* kInt8Pattern =
-      R"(\b(std::)?u?int8_t\b|\bsigned\s+char\b)";
   std::vector<Rule> rules;
   rules.push_back(Rule{
       "RL001", "raw-rng", {},
@@ -147,18 +143,6 @@ std::vector<Rule> build_rules() {
       "transport code outside the front-end bypasses the framed "
       "protocol, connection accounting, and conn-scoped flight events "
       "the serving contract guarantees"});
-  rules.push_back(Rule{
-      "RL023", "int8-outside-kernels", {"src/nn/"},
-      {"src/nn/kernels/"},
-      kInt8Pattern,
-      re(kInt8Pattern),
-      "int8 storage type outside src/nn/kernels/; layers hold a "
-      "kernels::QuantizedTensor and route through qgemm_nt/qgemm_nn "
-      "instead of touching quantized bytes directly",
-      "the quantized fast path is only bit-exact across lane counts "
-      "because every int8 round-trip (scale, clamp, widen, dequant) "
-      "lives in one audited kernel file; scattered int8 arithmetic "
-      "reintroduces per-call-site rounding choices"});
   // RL024 is one rule id with two enforcement angles (matched by rule
   // *name* in the literal-prefix dispatch below): the replay analogue
   // of RL006's clock confinement and RL011's telemetry-prefix contract.
@@ -180,6 +164,15 @@ std::vector<Rule> build_rules() {
       "prefix",
       "rate/jitter dashboards aggregate the replay metric tree by "
       "prefix; a stray name drops out of every replay view"});
+  rules.push_back(Rule{
+      "RL025", "model-state-mutable", {"src/nn/", "src/diffusion/"},
+      {"src/nn/arena."},
+      R"(\bmutable\b|\bconst_cast\s*<)",
+      re(R"(\bmutable\b|\bconst_cast\s*<)"),
+      "`mutable` member or const_cast in model code; the const forward "
+      "must not write state (nn/module.hpp)",
+      "serving lanes share one model and sample through its const "
+      "forward; one writable member turns that sharing into a data race"});
   return rules;
 }
 

@@ -6,7 +6,7 @@
 // assembles the pass list, and renders results.
 //
 // Modes:
-//   (default)        RL001-RL023 rule passes (tokens, determinism,
+//   (default)        RL001-RL025 rule passes (tokens, determinism,
 //                    architecture against tools/lint/layers.txt)
 //   --format-check   RF001-RF005 whitespace/line hygiene only
 //   --json           machine-readable findings on stdout (byte-identical
