@@ -8,7 +8,7 @@
 //                      every request is its own model call
 //   closed_loop_batched same request stream, max_batch=REPRO_SERVE_BATCH
 //                      — same-key requests coalesce into one batched
-//                      sample_latents + decode_matrices call
+//                      generate_with_flow_seeds call
 //   closed_loop_traced same as batched but with telemetry spans on and
 //                      the flight recorder armed — measures tracing
 //                      overhead and proves 100% timeline coverage

@@ -175,7 +175,8 @@ void BM_StepLatency(benchmark::State& state) {
   const std::vector<std::size_t> shape{1, cfg.autoencoder.latent_dim,
                                        cfg.packets};
   for (auto _ : state) {
-    auto out = diffusion::ddim_sample(eps_fn, schedule, shape, 20, 0.0f, rng);
+    auto out =
+        diffusion::ddim_sample(eps_fn, schedule, shape, 20, 0.0f, {&rng, 1});
     benchmark::DoNotOptimize(out);
   }
   const telemetry::HistogramSnapshot snap = hist.snapshot();

@@ -415,17 +415,16 @@ void renormalize_batch(nn::Tensor& x, float target_std) {
       });
 }
 
-/// Standard deviation of one tensor (about its mean).
-float tensor_std(const nn::Tensor& x) {
+/// Standard deviation of `n` values (about their mean).
+float sample_std(const float* x, std::size_t n) {
   double sum = 0.0, sq = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     sum += x[i];
     sq += static_cast<double>(x[i]) * x[i];
   }
-  const double mean = sum / static_cast<double>(x.size());
+  const double mean = sum / static_cast<double>(n);
   return static_cast<float>(
-      std::sqrt(std::max(sq / static_cast<double>(x.size()) - mean * mean,
-                         0.0)));
+      std::sqrt(std::max(sq / static_cast<double>(n) - mean * mean, 0.0)));
 }
 
 }  // namespace
@@ -510,160 +509,74 @@ EpsFn TraceDiffusion::guided_eps_fn(int class_id, std::size_t count,
   };
 }
 
+TraceDiffusion::SampleStart TraceDiffusion::sample_start(
+    int class_id, std::size_t count, const GenerateOptions& opts,
+    std::span<Rng> rngs) const {
+  if (rngs.size() != 1 && rngs.size() != count) {
+    throw std::invalid_argument(
+        "TraceDiffusion: need one Rng stream, or one per flow");
+  }
+  const std::size_t c = config_.autoencoder.latent_dim;
+  const std::size_t l = config_.packets;
+  const std::size_t top = schedule_.timesteps() - 1;
+  SampleStart start;
+  start.from_template = opts.use_control && template_flows_.count(class_id) &&
+                        opts.template_strength < 1.0f &&
+                        opts.template_strength > 0.0f;
+  start.t0 = start.from_template
+                 ? static_cast<std::size_t>(opts.template_strength *
+                                            static_cast<float>(top))
+                 : top;
+  start.x = nn::Tensor({count, c, l});
+  // SDEdit-style start: the class template latent, which occupies the
+  // hint channels after the protocol one-hot block, noised to t0.
+  const float* tmpl = nullptr;
+  float sa = 0.0f, sb = 1.0f;
+  if (start.from_template) {
+    tmpl = class_hint(class_id).data() + kHintChannels * l;
+    start.target_std = sample_std(tmpl, c * l);  // class-specific scale
+    sa = schedule_.sqrt_alpha_bar(start.t0);
+    sb = schedule_.sqrt_one_minus_alpha_bar(start.t0);
+  }
+  for (std::size_t b = 0; b < count; ++b) {
+    Rng& rng = sample_stream(rngs, b);
+    float* dst = start.x.data() + b * c * l;
+    for (std::size_t i = 0; i < c * l; ++i) {
+      const float noise = static_cast<float>(rng.gaussian());
+      dst[i] = tmpl != nullptr ? sa * tmpl[i] + sb * noise : noise;
+    }
+  }
+  return start;
+}
+
 nn::Tensor TraceDiffusion::sample_latents(int class_id, std::size_t count,
-                                          const GenerateOptions& opts) {
+                                          const GenerateOptions& opts,
+                                          std::span<Rng> rngs) const {
   REPRO_SPAN("diffusion.sample.latents");
-  const std::size_t c = config_.autoencoder.latent_dim;
-  const std::size_t l = config_.packets;
-  const bool control = opts.use_control && template_flows_.count(class_id);
-  EpsFn eps_fn = guided_eps_fn(class_id, count, opts);
-
-  const std::vector<std::size_t> shape{count, c, l};
-  const bool from_template =
-      control && opts.template_strength < 1.0f && opts.template_strength > 0.0f;
-  const std::size_t t0 = start_timestep(class_id, opts);
+  SampleStart start = sample_start(class_id, count, opts, rngs);
+  const std::size_t steps = start.from_template
+                                ? std::min(opts.ddim_steps, start.t0 + 1)
+                                : opts.ddim_steps;
+  const EpsFn eps_fn = guided_eps_fn(class_id, count, opts);
   nn::Tensor out;
-  float target_std = 1.0f;  // training latents are scaled to unit std
-  if (!from_template) {
-    if (opts.sampler == SamplerKind::kDistilled) {
-      const DistilledStage& stage =
-          find_distilled(class_id, t0, opts.ddim_steps);
-      nn::Tensor xt(shape);
-      for (std::size_t i = 0; i < xt.size(); ++i) {
-        xt[i] = static_cast<float>(rng_.gaussian());
-      }
-      out = distilled_sample_from(eps_fn, schedule_, std::move(xt), stage);
-    } else {
-      out = opts.sampler == SamplerKind::kDdpm
-                ? ddpm_sample(eps_fn, schedule_, shape, rng_)
-                : ddim_sample(eps_fn, schedule_, shape, opts.ddim_steps,
-                              opts.eta, rng_);
-    }
-  } else {
-    // SDEdit-style start: noise the class template latent to t0 and
-    // denoise from there.
-    const nn::Tensor& hint_full = class_hint(class_id);
-    nn::Tensor x0({count, c, l});
-    for (std::size_t b = 0; b < count; ++b) {
-      // The template latent occupies the hint channels after the
-      // protocol one-hot block.
-      std::copy(hint_full.data() + kHintChannels * l,
-                hint_full.data() + (kHintChannels + c) * l,
-                x0.data() + b * c * l);
-    }
-    {
-      nn::Tensor one({c, l});
-      std::copy(x0.data(), x0.data() + c * l, one.data());
-      target_std = tensor_std(one);  // class-specific latent scale
-    }
-    const float sa = schedule_.sqrt_alpha_bar(t0);
-    const float sb = schedule_.sqrt_one_minus_alpha_bar(t0);
-    nn::Tensor xt(x0.shape());
-    for (std::size_t i = 0; i < xt.size(); ++i) {
-      xt[i] = sa * x0[i] + sb * static_cast<float>(rng_.gaussian());
-    }
-    if (opts.sampler == SamplerKind::kDdpm) {
-      out = ddpm_sample_from(eps_fn, schedule_, std::move(xt), t0, rng_);
-    } else if (opts.sampler == SamplerKind::kDistilled) {
-      const std::size_t steps = std::min(opts.ddim_steps, t0 + 1);
-      out = distilled_sample_from(eps_fn, schedule_, std::move(xt),
-                                  find_distilled(class_id, t0, steps));
-    } else {
-      const std::size_t steps = std::min(opts.ddim_steps, t0 + 1);
-      out = ddim_sample_from(eps_fn, schedule_, std::move(xt), t0, steps,
-                             opts.eta, rng_);
-    }
+  switch (opts.sampler) {
+    case SamplerKind::kDdpm:
+      out = ddpm_sample_from(eps_fn, schedule_, std::move(start.x), start.t0,
+                             rngs);
+      break;
+    case SamplerKind::kDdim:
+      out = ddim_sample_from(eps_fn, schedule_, std::move(start.x), start.t0,
+                             steps, opts.eta, rngs);
+      break;
+    case SamplerKind::kDistilled:
+      out = distilled_sample_from(eps_fn, schedule_, std::move(start.x),
+                                  find_distilled(class_id, start.t0, steps));
+      break;
   }
-  if (opts.renormalize_latents && target_std > 1e-6f) {
-    renormalize_batch(out, target_std);
+  if (opts.renormalize_latents && start.target_std > 1e-6f) {
+    renormalize_batch(out, start.target_std);
   }
   return out;
-}
-
-nn::Tensor TraceDiffusion::sample_latents_multi(
-    int class_id, const GenerateOptions& opts, std::vector<Rng>& rngs) const {
-  REPRO_SPAN("diffusion.sample.latents");
-  const std::size_t count = rngs.size();
-  const std::size_t c = config_.autoencoder.latent_dim;
-  const std::size_t l = config_.packets;
-  const bool control = opts.use_control && template_flows_.count(class_id);
-  EpsFn eps_fn = guided_eps_fn(class_id, count, opts);
-
-  const std::vector<std::size_t> shape{count, c, l};
-  const bool from_template =
-      control && opts.template_strength < 1.0f && opts.template_strength > 0.0f;
-  const std::size_t t0 = start_timestep(class_id, opts);
-  nn::Tensor out;
-  float target_std = 1.0f;  // training latents are scaled to unit std
-  if (!from_template) {
-    if (opts.sampler == SamplerKind::kDistilled) {
-      // Per-flow noise discipline: sample b's initial noise comes
-      // entirely from rngs[b] (the distilled trajectory itself draws no
-      // further noise), so batch composition cannot change a flow.
-      const DistilledStage& stage =
-          find_distilled(class_id, t0, opts.ddim_steps);
-      nn::Tensor xt(shape);
-      for (std::size_t b = 0; b < count; ++b) {
-        float* dst = xt.data() + b * c * l;
-        for (std::size_t i = 0; i < c * l; ++i) {
-          dst[i] = static_cast<float>(rngs[b].gaussian());
-        }
-      }
-      out = distilled_sample_from(eps_fn, schedule_, std::move(xt), stage);
-    } else {
-      out = opts.sampler == SamplerKind::kDdpm
-                ? ddpm_sample(eps_fn, schedule_, shape, rngs)
-                : ddim_sample(eps_fn, schedule_, shape, opts.ddim_steps,
-                              opts.eta, rngs);
-    }
-  } else {
-    // Same SDEdit-style start as sample_latents, except sample b's
-    // template noising draws from rngs[b] — the per-flow stream order
-    // (template noise, then per-step sampler noise, then timestamps)
-    // is therefore independent of batch composition.
-    const nn::Tensor& hint_full = class_hint(class_id);
-    const float* tmpl = hint_full.data() + kHintChannels * l;
-    {
-      nn::Tensor one({c, l});
-      std::copy(tmpl, tmpl + c * l, one.data());
-      target_std = tensor_std(one);  // class-specific latent scale
-    }
-    const float sa = schedule_.sqrt_alpha_bar(t0);
-    const float sb = schedule_.sqrt_one_minus_alpha_bar(t0);
-    nn::Tensor xt({count, c, l});
-    for (std::size_t b = 0; b < count; ++b) {
-      float* dst = xt.data() + b * c * l;
-      Rng& rng = rngs[b];
-      for (std::size_t i = 0; i < c * l; ++i) {
-        dst[i] = sa * tmpl[i] + sb * static_cast<float>(rng.gaussian());
-      }
-    }
-    if (opts.sampler == SamplerKind::kDdpm) {
-      out = ddpm_sample_from(eps_fn, schedule_, std::move(xt), t0, rngs);
-    } else if (opts.sampler == SamplerKind::kDistilled) {
-      const std::size_t steps = std::min(opts.ddim_steps, t0 + 1);
-      out = distilled_sample_from(eps_fn, schedule_, std::move(xt),
-                                  find_distilled(class_id, t0, steps));
-    } else {
-      const std::size_t steps = std::min(opts.ddim_steps, t0 + 1);
-      out = ddim_sample_from(eps_fn, schedule_, std::move(xt), t0, steps,
-                             opts.eta, rngs);
-    }
-  }
-  if (opts.renormalize_latents && target_std > 1e-6f) {
-    renormalize_batch(out, target_std);
-  }
-  return out;
-}
-
-std::size_t TraceDiffusion::start_timestep(int class_id,
-                                           const GenerateOptions& opts) const {
-  const bool control = opts.use_control && template_flows_.count(class_id);
-  const bool from_template =
-      control && opts.template_strength < 1.0f && opts.template_strength > 0.0f;
-  if (!from_template) return schedule_.timesteps() - 1;
-  return static_cast<std::size_t>(opts.template_strength *
-                                  static_cast<float>(schedule_.timesteps() - 1));
 }
 
 const DistilledStage& TraceDiffusion::find_distilled(int class_id,
@@ -688,55 +601,31 @@ std::size_t TraceDiffusion::distill(const DistillConfig& cfg) {
     throw std::invalid_argument("TraceDiffusion::distill: bad config");
   }
   REPRO_SPAN("diffusion.distill");
-  const std::size_t c = config_.autoencoder.latent_dim;
-  const std::size_t l = config_.packets;
+  const std::size_t n = cfg.calibration_count;
   std::size_t fitted_stages = 0;
   for (std::size_t cls = 0; cls < prompts_.num_classes(); ++cls) {
     const int class_id = static_cast<int>(cls);
-    GenerateOptions proto = cfg.options;
-    proto.count = cfg.calibration_count;
-    const std::size_t t0 = start_timestep(class_id, proto);
-    const std::size_t n = cfg.calibration_count;
-
-    // Calibration batch at t0 — the same construction sample_latents
-    // uses, but drawn from a dedicated stream so distill() never reads
-    // or advances the pipeline RNG.
+    // Calibration batch at t0 — the start generation uses, drawn from a
+    // dedicated stream so distill() never reads or advances the
+    // pipeline RNG.
     Rng rng(fork_flow_seed(cfg.seed, cls));
-    nn::Tensor xt({n, c, l});
-    const bool control = proto.use_control && template_flows_.count(class_id);
-    const bool from_template = control && proto.template_strength < 1.0f &&
-                               proto.template_strength > 0.0f;
-    if (from_template) {
-      const nn::Tensor& hint_full = class_hint(class_id);
-      const float* tmpl = hint_full.data() + kHintChannels * l;
-      const float sa = schedule_.sqrt_alpha_bar(t0);
-      const float sb = schedule_.sqrt_one_minus_alpha_bar(t0);
-      for (std::size_t b = 0; b < n; ++b) {
-        float* dst = xt.data() + b * c * l;
-        for (std::size_t i = 0; i < c * l; ++i) {
-          dst[i] = sa * tmpl[i] + sb * static_cast<float>(rng.gaussian());
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < xt.size(); ++i) {
-        xt[i] = static_cast<float>(rng.gaussian());
-      }
-    }
+    const SampleStart start =
+        sample_start(class_id, n, cfg.options, std::span<Rng>(&rng, 1));
 
     // Progressive halving against the fp32 reference eps function.
-    EpsFn eps_fn = guided_eps_fn(class_id, n, proto);
+    const EpsFn eps_fn = guided_eps_fn(class_id, n, cfg.options);
     DistilledStage teacher =
-        teacher_stage(t0, std::min(cfg.teacher_steps, t0 + 1));
+        teacher_stage(start.t0, std::min(cfg.teacher_steps, start.t0 + 1));
     for (std::size_t round = 0; round < cfg.rounds && teacher.steps() >= 2;
          ++round) {
-      StageFit fit = distill_halve(eps_fn, schedule_, teacher, xt);
+      StageFit fit = distill_halve(eps_fn, schedule_, teacher, start.x);
       telemetry::observe("diffusion.distill.mse_fitted", fit.mse_fitted);
       REPRO_LOG_DEBUG() << "distill class " << class_id << " "
                         << teacher.steps() << "->" << fit.stage.steps()
                         << " steps, mse " << fit.mse_plain << " -> "
                         << fit.mse_fitted;
       teacher = fit.stage;
-      distilled_[DistillKey{class_id, t0, fit.stage.steps()}] =
+      distilled_[DistillKey{class_id, start.t0, fit.stage.steps()}] =
           std::move(fit.stage);
       ++fitted_stages;
     }
@@ -761,50 +650,7 @@ std::vector<std::size_t> TraceDiffusion::distilled_step_counts() const {
 
 std::vector<net::Flow> TraceDiffusion::generate(int class_id,
                                                 const GenerateOptions& opts) {
-  if (!fitted_) {
-    throw std::logic_error("TraceDiffusion::generate: call fit() first");
-  }
-  if (class_id < 0 ||
-      static_cast<std::size_t>(class_id) >= prompts_.num_classes()) {
-    throw std::invalid_argument("TraceDiffusion::generate: bad class id");
-  }
-  REPRO_SPAN("diffusion.generate");
-  telemetry::count("diffusion.generate.flows", opts.count);
-  nn::Tensor latents = sample_latents(class_id, opts.count, opts);
-  return decode_flows(std::move(latents), class_id, opts,
-                      std::span<Rng>(&rng_, 1));
-}
-
-std::vector<net::Flow> TraceDiffusion::decode_flows(
-    nn::Tensor latents, int class_id, const GenerateOptions& opts,
-    std::span<Rng> rngs) const {
-  REPRO_SPAN("diffusion.generate.decode");
-  const std::size_t n = latents.dim(0);
-  if (rngs.size() != n && rngs.size() != 1) {
-    throw std::invalid_argument(
-        "decode_flows: one RNG per flow, or one shared, required");
-  }
-  latents.scale(1.0f / latent_scale_);
-  // One batched decoder pass over all flows' packet rows.
-  std::vector<nprint::Matrix> matrices = autoencoder_->decode_matrices(latents);
-  std::vector<net::Flow> flows;
-  flows.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    nprint::Matrix& matrix = matrices[i];
-    nprint::quantize(matrix);
-    if (opts.constraint == ConstraintMode::kProjected &&
-        templates_.count(class_id)) {
-      project_to_template(matrix, templates_.at(class_id));
-    }
-    net::Flow flow = nprint::decode_flow(matrix);
-    if (opts.stateful_tcp_repair && template_flows_.count(class_id)) {
-      flow = enforce_tcp_state(flow, template_flows_.at(class_id));
-    }
-    flow.label = class_id;
-    assign_timestamps(flow, class_id, rngs[rngs.size() == 1 ? 0 : i]);
-    flows.push_back(std::move(flow));
-  }
-  return flows;
+  return sample_flows(class_id, opts.count, opts, std::span<Rng>(&rng_, 1));
 }
 
 std::vector<net::Flow> TraceDiffusion::generate_seeded(
@@ -819,23 +665,55 @@ std::vector<net::Flow> TraceDiffusion::generate_seeded(
 std::vector<net::Flow> TraceDiffusion::generate_with_flow_seeds(
     int class_id, const GenerateOptions& opts,
     const std::vector<std::uint64_t>& flow_seeds) const {
+  std::vector<Rng> rngs(flow_seeds.begin(), flow_seeds.end());
+  return sample_flows(class_id, rngs.size(), opts, rngs);
+}
+
+std::vector<net::Flow> TraceDiffusion::sample_flows(
+    int class_id, std::size_t count, const GenerateOptions& opts,
+    std::span<Rng> rngs) const {
   if (!fitted_) {
-    throw std::logic_error(
-        "TraceDiffusion::generate_with_flow_seeds: call fit() first");
+    throw std::logic_error("TraceDiffusion::generate: call fit() first");
   }
   if (class_id < 0 ||
       static_cast<std::size_t>(class_id) >= prompts_.num_classes()) {
-    throw std::invalid_argument(
-        "TraceDiffusion::generate_with_flow_seeds: bad class id");
+    throw std::invalid_argument("TraceDiffusion::generate: bad class id");
   }
-  if (flow_seeds.empty()) return {};
+  if (count == 0) return {};
   REPRO_SPAN("diffusion.generate");
-  telemetry::count("diffusion.generate.flows", flow_seeds.size());
-  std::vector<Rng> rngs;
-  rngs.reserve(flow_seeds.size());
-  for (const std::uint64_t s : flow_seeds) rngs.emplace_back(s);
-  nn::Tensor latents = sample_latents_multi(class_id, opts, rngs);
-  return decode_flows(std::move(latents), class_id, opts, rngs);
+  telemetry::count("diffusion.generate.flows", count);
+  nn::Tensor latents = sample_latents(class_id, count, opts, rngs);
+
+  REPRO_SPAN("diffusion.generate.decode");
+  std::vector<nprint::Matrix> matrices =
+      decode_latents(std::move(latents), class_id, opts.constraint);
+  std::vector<net::Flow> flows;
+  flows.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    net::Flow flow = nprint::decode_flow(matrices[i]);
+    if (opts.stateful_tcp_repair && template_flows_.count(class_id)) {
+      flow = enforce_tcp_state(flow, template_flows_.at(class_id));
+    }
+    flow.label = class_id;
+    assign_timestamps(flow, class_id, sample_stream(rngs, i));
+    flows.push_back(std::move(flow));
+  }
+  return flows;
+}
+
+std::vector<nprint::Matrix> TraceDiffusion::decode_latents(
+    nn::Tensor latents, int class_id, ConstraintMode constraint) const {
+  latents.scale(1.0f / latent_scale_);
+  // One batched decoder pass over all samples' packet rows.
+  std::vector<nprint::Matrix> matrices = autoencoder_->decode_matrices(latents);
+  const auto tmpl = templates_.find(class_id);
+  for (nprint::Matrix& matrix : matrices) {
+    nprint::quantize(matrix);
+    if (constraint == ConstraintMode::kProjected && tmpl != templates_.end()) {
+      project_to_template(matrix, tmpl->second);
+    }
+  }
+  return matrices;
 }
 
 std::vector<net::Flow> TraceDiffusion::generate_from_prompt(
@@ -854,17 +732,13 @@ nprint::Matrix TraceDiffusion::generate_matrix(int class_id,
   if (!fitted_) {
     throw std::logic_error("TraceDiffusion::generate_matrix: call fit() first");
   }
-  GenerateOptions one = opts;
-  one.count = 1;
-  nn::Tensor latents = sample_latents(class_id, 1, one);
-  latents.scale(1.0f / latent_scale_);
-  nprint::Matrix matrix = autoencoder_->decode_matrix(latents);
-  nprint::quantize(matrix);
-  if (templates_.count(class_id)) {
-    if (used_template) *used_template = templates_.at(class_id);
-    if (one.constraint == ConstraintMode::kProjected) {
-      project_to_template(matrix, templates_.at(class_id));
-    }
+  nprint::Matrix matrix = std::move(
+      decode_latents(sample_latents(class_id, 1, opts,
+                                    std::span<Rng>(&rng_, 1)),
+                     class_id, opts.constraint)
+          .front());
+  if (used_template && templates_.count(class_id)) {
+    *used_template = templates_.at(class_id);
   }
   return matrix;
 }
@@ -895,13 +769,8 @@ net::Flow TraceDiffusion::deblur(const net::Flow& corrupted,
 
   nn::Tensor restored = ddim_inpaint(eps_fn, schedule_, known, mask,
                                      opts.ddim_steps, opts.eta, rng_);
-  restored.scale(1.0f / latent_scale_);
-  nprint::Matrix matrix = autoencoder_->decode_matrix(restored);
-  nprint::quantize(matrix);
-  if (opts.constraint == ConstraintMode::kProjected &&
-      templates_.count(class_id)) {
-    project_to_template(matrix, templates_.at(class_id));
-  }
+  const nprint::Matrix matrix = std::move(
+      decode_latents(std::move(restored), class_id, opts.constraint).front());
   // Row-preserving reassembly: observed slots take the original packet
   // verbatim; missing slots take the synthesized row (skipped when it
   // decodes vacant). decode_flow cannot be used here because it drops
@@ -954,6 +823,9 @@ namespace {
 // distilled-stage section. save() always writes V3; load() accepts both.
 constexpr std::uint32_t kMetaMagicV2 = 0x54444D32;  // "TDM2"
 constexpr std::uint32_t kMetaMagic = 0x54444D33;    // "TDM3"
+/// Largest serialized template packet load() accepts: an IPv4 packet's
+/// total length is a u16.
+constexpr std::uint32_t kMaxPacketBytes = 65535;
 
 std::vector<nn::Parameter*> all_parameters(PacketAutoencoder& ae,
                                            UNet1d& unet,
@@ -962,11 +834,6 @@ std::vector<nn::Parameter*> all_parameters(PacketAutoencoder& ae,
   for (nn::Parameter* p : unet.parameters()) params.push_back(p);
   for (nn::Parameter* p : control.parameters()) params.push_back(p);
   return params;
-}
-
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  repro::write_pod(out, value);
 }
 
 template <typename T>
@@ -1031,25 +898,41 @@ void TraceDiffusion::load(const std::string& prefix) {
     throw std::runtime_error("TraceDiffusion::load: cannot open " + prefix +
                              ".meta");
   }
+  // The meta file is untrusted input: every length and index is checked
+  // before anything is allocated or looked up from it.
+  const auto bad = [](const std::string& what) {
+    return std::runtime_error("TraceDiffusion::load: " + what);
+  };
+  const auto read_class = [&] {
+    const auto class_id = read_pod<std::int32_t>(in);
+    if (class_id < 0 ||
+        static_cast<std::size_t>(class_id) >= prompts_.num_classes()) {
+      throw bad("class id " + std::to_string(class_id) + " out of range");
+    }
+    return static_cast<int>(class_id);
+  };
   const auto magic = read_pod<std::uint32_t>(in);
   if (magic != kMetaMagic && magic != kMetaMagicV2) {
-    throw std::runtime_error("TraceDiffusion::load: bad meta magic");
+    throw bad("bad meta magic");
   }
   latent_scale_ = read_pod<float>(in);
   const auto template_count = read_pod<std::uint32_t>(in);
   template_flows_.clear();
   templates_.clear();
   for (std::uint32_t t = 0; t < template_count; ++t) {
-    const auto class_id = read_pod<std::int32_t>(in);
+    const int class_id = read_class();
     const auto packet_count = read_pod<std::uint32_t>(in);
     net::Flow flow;
     flow.label = class_id;
     for (std::uint32_t p = 0; p < packet_count; ++p) {
       const double timestamp = read_pod<double>(in);
       const auto wire_len = read_pod<std::uint32_t>(in);
+      if (wire_len > kMaxPacketBytes) {
+        throw bad("packet length " + std::to_string(wire_len));
+      }
       std::vector<std::uint8_t> wire(wire_len);
       if (!repro::read_bytes(in, wire.data(), wire.size())) {
-        throw std::runtime_error("TraceDiffusion::load: truncated");
+        throw bad("truncated");
       }
       flow.packets.push_back(net::Packet::parse(wire, timestamp));
     }
@@ -1062,7 +945,7 @@ void TraceDiffusion::load(const std::string& prefix) {
   timing_.clear();
   const auto timing_count = read_pod<std::uint32_t>(in);
   for (std::uint32_t t = 0; t < timing_count; ++t) {
-    const auto class_id = read_pod<std::int32_t>(in);
+    const int class_id = read_class();
     TimingModel model;
     model.log_mu = read_pod<float>(in);
     model.log_sigma = read_pod<float>(in);
@@ -1070,16 +953,26 @@ void TraceDiffusion::load(const std::string& prefix) {
   }
   distilled_.clear();
   if (magic == kMetaMagic) {
+    const std::size_t timesteps = schedule_.timesteps();
     const auto stage_count = read_pod<std::uint32_t>(in);
     for (std::uint32_t s = 0; s < stage_count; ++s) {
       DistillKey key;
-      key.class_id = read_pod<std::int32_t>(in);
+      key.class_id = read_class();
       key.t0 = read_pod<std::uint32_t>(in);
       key.steps = read_pod<std::uint32_t>(in);
+      if (key.t0 >= timesteps || key.steps > timesteps) {
+        throw bad("distilled stage t0 " + std::to_string(key.t0) + ", " +
+                  std::to_string(key.steps) + " steps");
+      }
       DistilledStage stage;
       stage.taus.resize(key.steps);
       stage.gains.resize(key.steps);
-      for (auto& tau : stage.taus) tau = read_pod<std::uint32_t>(in);
+      for (auto& tau : stage.taus) {
+        tau = read_pod<std::uint32_t>(in);
+        if (tau >= timesteps) {
+          throw bad("distilled stage tau " + std::to_string(tau));
+        }
+      }
       for (auto& gain : stage.gains) gain = read_pod<float>(in);
       distilled_[key] = std::move(stage);
     }

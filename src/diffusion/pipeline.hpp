@@ -276,18 +276,43 @@ class TraceDiffusion {
                                std::size_t epochs, float lr,
                                const std::vector<nn::Parameter*>& params,
                                bool with_control_hints);
+  /// Where sampling starts: x_{t0} for every sample, the start
+  /// timestep, and the standard deviation the result is renormalized to
+  /// (renormalize_latents).
+  struct SampleStart {
+    nn::Tensor x;
+    std::size_t t0 = 0;
+    float target_std = 1.0f;  // training latents are scaled to unit std
+    bool from_template = false;
+  };
+
+  /// Builds the start of a `count`-sample request: pure noise at the top
+  /// of the schedule, or — when the class template is in play
+  /// (use_control, 0 < template_strength < 1) — the SDEdit start, the
+  /// template latent noised to t0 = template_strength of the schedule.
+  /// Sample b draws its noise from sample_stream(rngs, b); rngs holds one
+  /// shared stream or one per sample. Distilled stages are keyed on t0.
+  SampleStart sample_start(int class_id, std::size_t count,
+                           const GenerateOptions& opts,
+                           std::span<Rng> rngs) const;
+
+  /// The one sampling core: start state, then DDPM / DDIM / distilled
+  /// denoising to t = 0 under the guided eps function, then per-sample
+  /// renormalization. Every generation entry point runs through it.
   nn::Tensor sample_latents(int class_id, std::size_t count,
-                            const GenerateOptions& opts);
+                            const GenerateOptions& opts,
+                            std::span<Rng> rngs) const;
 
-  /// sample_latents with one noise stream per sample (count =
-  /// rngs.size()); see generate_with_flow_seeds.
-  nn::Tensor sample_latents_multi(int class_id, const GenerateOptions& opts,
-                                  std::vector<Rng>& rngs) const;
+  /// Latent batch -> AE decode -> quantize -> projection onto the class
+  /// template (when `constraint` asks for it): one matrix per sample.
+  std::vector<nprint::Matrix> decode_latents(nn::Tensor latents,
+                                             int class_id,
+                                             ConstraintMode constraint) const;
 
-  /// Shared decode tail: latent batch -> quantize -> project -> packets
-  /// -> timestamps. `rngs` holds the timestamp streams: one per flow, or
-  /// a single stream that all flows draw from in order.
-  std::vector<net::Flow> decode_flows(nn::Tensor latents, int class_id,
+  /// generate() and generate_with_flow_seeds(): checks, sample_latents,
+  /// decode_latents, then packets and timestamps — flow i's timestamp
+  /// gaps are drawn from sample_stream(rngs, i) after its sampler noise.
+  std::vector<net::Flow> sample_flows(int class_id, std::size_t count,
                                       const GenerateOptions& opts,
                                       std::span<Rng> rngs) const;
 
@@ -318,11 +343,6 @@ class TraceDiffusion {
   /// Assigns model-sampled timestamps to a generated flow, drawing the
   /// inter-arrival gaps from `rng`.
   void assign_timestamps(net::Flow& flow, int class_id, Rng& rng) const;
-
-  /// Start timestep a generation request denoises from: the SDEdit
-  /// template noising point when the class template is in play, else
-  /// the top of the schedule. Distilled stages are keyed on it.
-  std::size_t start_timestep(int class_id, const GenerateOptions& opts) const;
 
   /// Stage lookup for SamplerKind::kDistilled; throws
   /// std::invalid_argument when (class, t0, steps) was never fitted.

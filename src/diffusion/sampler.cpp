@@ -11,57 +11,49 @@
 namespace repro::diffusion {
 namespace {
 
-/// Where sampler noise comes from: either ONE shared stream consumed in
-/// element order (the legacy path — bit-identical to the pre-refactor
-/// per-element loops), or one stream PER SAMPLE, each consumed in that
-/// sample's element order. The per-sample mode is what makes a sample's
-/// bits independent of how requests were coalesced into a batch.
+/// Where sampler noise comes from: `rngs` holds one stream shared by
+/// every sample or one stream per sample (see sample_stream). Sample b
+/// fills its own slice of each draw from its stream, so a shared stream
+/// yields the flat element-order draw.
 class NoiseSource {
  public:
-  explicit NoiseSource(Rng& rng) : single_(&rng) {}
-  NoiseSource(std::vector<Rng>& rngs, std::size_t stride)
-      : multi_(&rngs), stride_(stride) {}
+  NoiseSource(std::span<Rng> rngs, const std::vector<std::size_t>& shape)
+      : rngs_(rngs), samples_(shape.empty() ? 0 : shape[0]) {
+    if (rngs_.size() != 1 && rngs_.size() != samples_) {
+      throw std::invalid_argument(
+          "sampler: need one Rng stream, or one per sample");
+    }
+    for (std::size_t i = 1; i < shape.size(); ++i) stride_ *= shape[i];
+  }
 
-  /// Serially draws `count` standard normals (drawing stays serial so
-  /// the stream order never depends on the thread count; the arithmetic
-  /// that follows runs on the pool). The buffer comes from the scratch
-  /// arena so repeated sampler steps reuse one allocation.
-  nn::TensorArena::Handle draw(std::size_t count) {
-    nn::TensorArena::Handle noise = nn::TensorArena::scratch().acquire(count);
+  /// Serially draws one sample-strided tensor's worth of standard
+  /// normals (drawing stays serial so the stream order never depends on
+  /// the thread count; the arithmetic that follows runs on the pool).
+  /// The buffer comes from the scratch arena so repeated sampler steps
+  /// reuse one allocation.
+  nn::TensorArena::Handle draw() {
+    nn::TensorArena::Handle noise =
+        nn::TensorArena::scratch().acquire(samples_ * stride_);
     float* p = noise.data();
-    if (single_ != nullptr) {
-      for (std::size_t i = 0; i < count; ++i) {
-        p[i] = static_cast<float>(single_->gaussian());
-      }
-    } else {
-      REPRO_REQUIRE(stride_ > 0 && count == multi_->size() * stride_,
-                    "NoiseSource: draw size must be samples * stride");
-      for (std::size_t b = 0; b < multi_->size(); ++b) {
-        Rng& rng = (*multi_)[b];
-        for (std::size_t i = 0; i < stride_; ++i) {
-          p[b * stride_ + i] = static_cast<float>(rng.gaussian());
-        }
+    for (std::size_t b = 0; b < samples_; ++b) {
+      Rng& rng = sample_stream(rngs_, b);
+      for (std::size_t i = 0; i < stride_; ++i) {
+        p[b * stride_ + i] = static_cast<float>(rng.gaussian());
       }
     }
     return noise;
   }
 
  private:
-  Rng* single_ = nullptr;
-  std::vector<Rng>* multi_ = nullptr;
-  std::size_t stride_ = 0;
+  std::span<Rng> rngs_;
+  std::size_t samples_;
+  std::size_t stride_ = 1;
 };
 
-std::size_t sample_stride(const std::vector<std::size_t>& shape) {
-  std::size_t stride = 1;
-  for (std::size_t i = 1; i < shape.size(); ++i) stride *= shape[i];
-  return stride;
-}
-
 nn::Tensor gaussian_tensor(const std::vector<std::size_t>& shape,
-                           NoiseSource& noise) {
+                           std::span<Rng> rngs) {
   nn::Tensor x(shape);
-  nn::TensorArena::Handle buf = noise.draw(x.size());
+  nn::TensorArena::Handle buf = NoiseSource(rngs, shape).draw();
   std::copy(buf.data(), buf.data() + x.size(), x.data());
   return x;
 }
@@ -80,7 +72,7 @@ void ddpm_step(nn::Tensor& x, const nn::Tensor& eps,
   const float inv_sqrt_alpha = 1.0f / std::sqrt(alpha);
   const float sigma = std::sqrt(schedule.posterior_variance(t));
   nn::TensorArena::Handle noise;
-  if (t > 0) noise = source.draw(x.size());
+  if (t > 0) noise = source.draw();
   const float* np = noise.data();
   parallel::parallel_for(
       0, x.size(), kStepGrain, [&](std::size_t cb, std::size_t ce) {
@@ -124,7 +116,7 @@ void ddim_step(nn::Tensor& x, const nn::Tensor& eps, float abar_t,
   const float sqrt_abar_prev = std::sqrt(abar_prev);
   const bool noisy = !last && sigma > 0.0f;
   nn::TensorArena::Handle noise;
-  if (noisy) noise = source.draw(x.size());
+  if (noisy) noise = source.draw();
   const float* np = noise.data();
   parallel::parallel_for(
       0, x.size(), kStepGrain, [&](std::size_t cb, std::size_t ce) {
@@ -139,13 +131,19 @@ void ddim_step(nn::Tensor& x, const nn::Tensor& eps, float abar_t,
       });
 }
 
-nn::Tensor ddpm_sample_from_source(const EpsFn& eps_fn,
-                                   const NoiseSchedule& schedule,
-                                   nn::Tensor x_t0, std::size_t t0,
-                                   NoiseSource& source) {
+}  // namespace
+
+std::vector<std::size_t> ddim_tau_schedule(std::size_t t0, std::size_t steps) {
+  return ddim_taus(t0, steps);
+}
+
+nn::Tensor ddpm_sample_from(const EpsFn& eps_fn, const NoiseSchedule& schedule,
+                            nn::Tensor x_t0, std::size_t t0,
+                            std::span<Rng> rngs) {
   if (t0 >= schedule.timesteps()) {
     throw std::invalid_argument("ddpm_sample_from: t0 out of range");
   }
+  NoiseSource source(rngs, x_t0.shape());
   for (std::size_t step = t0 + 1; step-- > 0;) {
     REPRO_SPAN("diffusion.sample.ddpm_step");
     const nn::Tensor eps = eps_fn(x_t0, step);
@@ -154,17 +152,17 @@ nn::Tensor ddpm_sample_from_source(const EpsFn& eps_fn,
   return x_t0;
 }
 
-nn::Tensor ddim_sample_from_source(const EpsFn& eps_fn,
-                                   const NoiseSchedule& schedule,
-                                   nn::Tensor x_t0, std::size_t t0,
-                                   std::size_t steps, float eta,
-                                   NoiseSource& source) {
+nn::Tensor ddim_sample_from(const EpsFn& eps_fn, const NoiseSchedule& schedule,
+                            nn::Tensor x_t0, std::size_t t0,
+                            std::size_t steps, float eta,
+                            std::span<Rng> rngs) {
   if (t0 >= schedule.timesteps()) {
     throw std::invalid_argument("ddim_sample_from: t0 out of range");
   }
   if (steps == 0 || steps > t0 + 1) {
     throw std::invalid_argument("ddim_sample_from: bad step count");
   }
+  NoiseSource source(rngs, x_t0.shape());
   const std::vector<std::size_t> taus = ddim_taus(t0, steps);
   for (std::size_t i = 0; i < steps; ++i) {
     REPRO_SPAN("diffusion.sample.ddim_step");
@@ -178,95 +176,21 @@ nn::Tensor ddim_sample_from_source(const EpsFn& eps_fn,
   return x_t0;
 }
 
-void check_multi_rngs(const std::vector<Rng>& rngs, std::size_t samples,
-                      const char* what) {
-  if (rngs.size() != samples) {
-    throw std::invalid_argument(std::string(what) +
-                                ": need one Rng stream per sample");
-  }
-}
-
-}  // namespace
-
-std::vector<std::size_t> ddim_tau_schedule(std::size_t t0, std::size_t steps) {
-  return ddim_taus(t0, steps);
-}
-
-nn::Tensor ddpm_sample_from(const EpsFn& eps_fn, const NoiseSchedule& schedule,
-                            nn::Tensor x_t0, std::size_t t0, Rng& rng) {
-  NoiseSource source(rng);
-  return ddpm_sample_from_source(eps_fn, schedule, std::move(x_t0), t0,
-                                 source);
-}
-
-nn::Tensor ddpm_sample_from(const EpsFn& eps_fn, const NoiseSchedule& schedule,
-                            nn::Tensor x_t0, std::size_t t0,
-                            std::vector<Rng>& rngs) {
-  check_multi_rngs(rngs, x_t0.dim(0), "ddpm_sample_from");
-  NoiseSource source(rngs, sample_stride(x_t0.shape()));
-  return ddpm_sample_from_source(eps_fn, schedule, std::move(x_t0), t0,
-                                 source);
-}
-
-nn::Tensor ddpm_sample(const EpsFn& eps_fn, const NoiseSchedule& schedule,
-                       const std::vector<std::size_t>& shape, Rng& rng) {
-  NoiseSource source(rng);
-  return ddpm_sample_from_source(eps_fn, schedule,
-                                 gaussian_tensor(shape, source),
-                                 schedule.timesteps() - 1, source);
-}
-
 nn::Tensor ddpm_sample(const EpsFn& eps_fn, const NoiseSchedule& schedule,
                        const std::vector<std::size_t>& shape,
-                       std::vector<Rng>& rngs) {
-  check_multi_rngs(rngs, shape.at(0), "ddpm_sample");
-  NoiseSource source(rngs, sample_stride(shape));
-  return ddpm_sample_from_source(eps_fn, schedule,
-                                 gaussian_tensor(shape, source),
-                                 schedule.timesteps() - 1, source);
-}
-
-nn::Tensor ddim_sample_from(const EpsFn& eps_fn, const NoiseSchedule& schedule,
-                            nn::Tensor x_t0, std::size_t t0,
-                            std::size_t steps, float eta, Rng& rng) {
-  NoiseSource source(rng);
-  return ddim_sample_from_source(eps_fn, schedule, std::move(x_t0), t0, steps,
-                                 eta, source);
-}
-
-nn::Tensor ddim_sample_from(const EpsFn& eps_fn, const NoiseSchedule& schedule,
-                            nn::Tensor x_t0, std::size_t t0,
-                            std::size_t steps, float eta,
-                            std::vector<Rng>& rngs) {
-  check_multi_rngs(rngs, x_t0.dim(0), "ddim_sample_from");
-  NoiseSource source(rngs, sample_stride(x_t0.shape()));
-  return ddim_sample_from_source(eps_fn, schedule, std::move(x_t0), t0, steps,
-                                 eta, source);
+                       std::span<Rng> rngs) {
+  return ddpm_sample_from(eps_fn, schedule, gaussian_tensor(shape, rngs),
+                          schedule.timesteps() - 1, rngs);
 }
 
 nn::Tensor ddim_sample(const EpsFn& eps_fn, const NoiseSchedule& schedule,
                        const std::vector<std::size_t>& shape,
-                       std::size_t steps, float eta, Rng& rng) {
+                       std::size_t steps, float eta, std::span<Rng> rngs) {
   if (steps == 0 || steps > schedule.timesteps()) {
     throw std::invalid_argument("ddim_sample: bad step count");
   }
-  NoiseSource source(rng);
-  return ddim_sample_from_source(eps_fn, schedule,
-                                 gaussian_tensor(shape, source),
-                                 schedule.timesteps() - 1, steps, eta, source);
-}
-
-nn::Tensor ddim_sample(const EpsFn& eps_fn, const NoiseSchedule& schedule,
-                       const std::vector<std::size_t>& shape,
-                       std::size_t steps, float eta, std::vector<Rng>& rngs) {
-  if (steps == 0 || steps > schedule.timesteps()) {
-    throw std::invalid_argument("ddim_sample: bad step count");
-  }
-  check_multi_rngs(rngs, shape.at(0), "ddim_sample");
-  NoiseSource source(rngs, sample_stride(shape));
-  return ddim_sample_from_source(eps_fn, schedule,
-                                 gaussian_tensor(shape, source),
-                                 schedule.timesteps() - 1, steps, eta, source);
+  return ddim_sample_from(eps_fn, schedule, gaussian_tensor(shape, rngs),
+                          schedule.timesteps() - 1, steps, eta, rngs);
 }
 
 nn::Tensor ddim_inpaint(const EpsFn& eps_fn, const NoiseSchedule& schedule,
@@ -291,8 +215,9 @@ nn::Tensor ddim_inpaint(const EpsFn& eps_fn, const NoiseSchedule& schedule,
     }
   };
 
-  NoiseSource source(rng);
-  nn::Tensor x = gaussian_tensor(known_x0.shape(), source);
+  const std::span<Rng> rngs(&rng, 1);
+  NoiseSource source(rngs, known_x0.shape());
+  nn::Tensor x = gaussian_tensor(known_x0.shape(), rngs);
   clamp_known(x, t0, /*final=*/false);
   const std::vector<std::size_t> taus = ddim_taus(t0, steps);
   for (std::size_t i = 0; i < steps; ++i) {

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "common/bytes.hpp"
 
@@ -54,8 +55,15 @@ void load_parameters(const std::string& path,
   if (count != params.size()) {
     throw std::runtime_error("load_parameters: parameter count mismatch");
   }
+  // Lengths come from an untrusted file: each is checked against the
+  // expected parameter before anything is allocated from it.
   for (Parameter* p : params) {
     const std::uint32_t name_len = read_u32(in);
+    if (name_len != p->name.size()) {
+      throw std::runtime_error("load_parameters: expected parameter '" +
+                               p->name + "', found a name of " +
+                               std::to_string(name_len) + " bytes");
+    }
     std::string name(name_len, '\0');
     in.read(name.data(), name_len);
     if (name != p->name) {
@@ -63,6 +71,9 @@ void load_parameters(const std::string& path,
                                p->name + "', found '" + name + "'");
     }
     const std::uint32_t rank = read_u32(in);
+    if (rank != p->value.shape().size()) {
+      throw std::runtime_error("load_parameters: rank mismatch for " + name);
+    }
     std::vector<std::size_t> shape(rank);
     for (auto& d : shape) d = read_u32(in);
     if (shape != p->value.shape()) {

@@ -19,6 +19,10 @@ TcpState ConntrackFunction::state_of(const net::Packet& packet) const {
 }
 
 Verdict ConntrackFunction::process(net::Packet& packet, double timestamp) {
+  if (timestamp >= next_sweep_) {
+    sweep_idle(timestamp);
+    next_sweep_ = timestamp + config_.idle_timeout;
+  }
   switch (packet.ip.protocol) {
     case net::IpProto::kTcp:
       return process_tcp(packet, timestamp);
@@ -30,6 +34,16 @@ Verdict ConntrackFunction::process(net::Packet& packet, double timestamp) {
       return Verdict::kForward;
   }
   return Verdict::kForward;
+}
+
+void ConntrackFunction::sweep_idle(double now) {
+  // Exactly the entries the idle clause of process_tcp's lookup would
+  // recycle: on a trace in time order (ReplayEngine sorts it), a later
+  // packet of a swept 5-tuple would have found it idle too, so no
+  // verdict changes — the table just stops growing with the trace.
+  std::erase_if(table_, [&](const auto& item) {
+    return now - item.second.last_seen > config_.idle_timeout;
+  });
 }
 
 Verdict ConntrackFunction::process_tcp(net::Packet& packet,

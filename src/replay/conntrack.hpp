@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 
 #include "net/flow.hpp"
@@ -40,6 +41,9 @@ struct ConntrackConfig {
   /// segment counts as a violation.
   std::uint32_t max_sequence_jump = 1 << 20;
   /// Idle timeout (seconds) after which a connection entry is recycled.
+  /// Idle entries are also swept from the table, at most once per
+  /// idle_timeout of trace time, so the table holds about two windows'
+  /// worth of connections however long the trace runs.
   double idle_timeout = 300.0;
 };
 
@@ -74,6 +78,9 @@ class ConntrackFunction : public NetworkFunction {
   /// untracked).
   TcpState state_of(const net::Packet& packet) const;
 
+  /// Connection entries currently in the table.
+  std::size_t tracked() const noexcept { return table_.size(); }
+
  private:
   struct Entry {
     TcpState state = TcpState::kNone;
@@ -89,10 +96,14 @@ class ConntrackFunction : public NetworkFunction {
   };
 
   Verdict process_tcp(net::Packet& packet, double timestamp);
+  /// Erases every entry idle for more than idle_timeout at `now`.
+  void sweep_idle(double now);
 
   ConntrackConfig config_;
   ConntrackStats stats_;
   std::map<net::FlowKey, Entry> table_;
+  /// Trace time of the next idle sweep (-inf: the first packet sweeps).
+  double next_sweep_ = -std::numeric_limits<double>::infinity();
 };
 
 }  // namespace repro::replay

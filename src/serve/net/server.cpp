@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -100,14 +101,30 @@ SocketServer::SocketServer(ShardedService& backend, ServerConfig config)
     port_ = config_.port;
   }
 
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) {
+    const std::string why = std::strerror(errno);
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    throw std::runtime_error("eventfd(): " + why);
+  }
+
   backend_.set_transport_health([this] { return health_fragment(); });
+  backend_.set_completion_notifier([fd = wake_fd_] {
+    const std::uint64_t completion = 1;
+    // EAGAIN means the counter is saturated: the loop is awake anyway.
+    const ssize_t n = ::write(fd, &completion, sizeof completion);
+    (void)n;
+  });
 }
 
 SocketServer::~SocketServer() {
   stop();
+  backend_.set_completion_notifier({});
   for (Connection& conn : conns_) close_connection(conn);
   conns_.clear();
   if (listen_fd_ >= 0) ::close(listen_fd_);
+  if (wake_fd_ >= 0) ::close(wake_fd_);
   backend_.set_transport_health({});
 }
 
@@ -128,31 +145,31 @@ void SocketServer::stop() {
 }
 
 std::size_t SocketServer::poll_once(int timeout_ms) {
+  turns_.fetch_add(1, std::memory_order_relaxed);
   std::vector<pollfd> fds;
-  fds.reserve(conns_.size() + 1);
+  fds.reserve(conns_.size() + 2);
   const bool accepting = conns_.size() < config_.max_connections;
   fds.push_back(pollfd{listen_fd_,
                        static_cast<short>(accepting ? POLLIN : 0), 0});
+  // Model completions don't make a socket readable: the shards' notifier
+  // writes wake_fd_, so a fulfilled response ends the wait at once.
+  fds.push_back(pollfd{wake_fd_, POLLIN, 0});
+  constexpr std::size_t kConnBase = 2;
   for (const Connection& conn : conns_) {
     short events = POLLIN;
     if (conn.out_pos < conn.out.size()) events |= POLLOUT;
     fds.push_back(pollfd{conn.fd, events, 0});
   }
 
-  // Model completions (futures) don't wake poll(); a pending reply
-  // caps the wait so harvest latency is bounded by the loop period.
-  int wait_ms = timeout_ms;
-  for (const Connection& conn : conns_) {
-    if (!conn.waiting.empty()) {
-      wait_ms = 0;
-      break;
-    }
-  }
-
-  const int ready = ::poll(fds.data(), fds.size(), wait_ms);
+  const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
   if (ready < 0 && errno != EINTR) {
     REPRO_LOG_WARN() << "serve.net poll(): " << std::strerror(errno);
     return 0;
+  }
+  if ((fds[1].revents & POLLIN) != 0) {
+    std::uint64_t completions = 0;  // reset the counter; harvest below
+    const ssize_t n = ::read(wake_fd_, &completions, sizeof completions);
+    (void)n;
   }
 
   std::size_t work = 0;
@@ -162,7 +179,7 @@ std::size_t SocketServer::poll_once(int timeout_ms) {
   if ((fds[0].revents & POLLIN) != 0) work += accept_ready();
   for (std::size_t i = 0; i < polled; ++i) {
     Connection& conn = conns_[i];
-    const short revents = fds[i + 1].revents;
+    const short revents = fds[kConnBase + i].revents;
     if ((revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
       work += read_ready(conn);
     }
@@ -439,6 +456,8 @@ std::string SocketServer::health_fragment() const {
   json.value(bytes_in_.load(std::memory_order_relaxed));
   json.key("bytes_out");
   json.value(bytes_out_.load(std::memory_order_relaxed));
+  json.key("loop_turns");
+  json.value(turns_.load(std::memory_order_relaxed));
   json.end_object();
   return std::move(json).str();
 }

@@ -2,10 +2,12 @@
 //
 // One event loop owns every connection (accept, read, decode, submit,
 // harvest, write) and never blocks on model work: decoded requests are
-// routed to their shard with submit_traced() and the returned futures
-// are polled with zero-timeout waits each loop turn, so a slow batch on
-// one shard never stalls reads on other connections. The loop can be
-// driven cooperatively (tests call poll_once()) or by a
+// routed to their shard with submit_traced(), and the loop sleeps in
+// poll() until a socket is ready or a shard fulfils a response — the
+// shards' completion notifier writes an eventfd that sits in the pollfd
+// set — so a slow batch on one shard never stalls reads on other
+// connections, and a pending reply never turns the loop into a spin.
+// The loop can be driven cooperatively (tests call poll_once()) or by a
 // BackgroundWorker (start()/stop(), used by `repro_served --listen`) —
 // this file deliberately creates no thread of its own (repro_lint
 // RL002).
@@ -62,7 +64,8 @@ class SocketServer {
  public:
   /// Binds and listens immediately; throws std::runtime_error on
   /// socket/bind failure. Installs itself as the backend's transport
-  /// health supplier (uninstalled in the destructor).
+  /// health supplier and completion notifier (both uninstalled in the
+  /// destructor).
   SocketServer(ShardedService& backend, ServerConfig config);
   ~SocketServer();
 
@@ -87,9 +90,16 @@ class SocketServer {
     return open_.load(std::memory_order_relaxed);
   }
 
+  /// Event-loop turns taken so far (poll_once calls): with nothing ready
+  /// the loop takes one turn per poll timeout, however long a reply is
+  /// pending.
+  std::uint64_t loop_turns() const noexcept {
+    return turns_.load(std::memory_order_relaxed);
+  }
+
   /// JSON object for health_json()'s "connections" section:
   /// {"port","open","opened","closed","frames_in","frames_out",
-  ///  "protocol_errors","bytes_in","bytes_out"}.
+  ///  "protocol_errors","bytes_in","bytes_out","loop_turns"}.
   std::string health_fragment() const;
 
  private:
@@ -127,6 +137,7 @@ class SocketServer {
   ShardedService& backend_;
   ServerConfig config_;
   int listen_fd_ = -1;
+  int wake_fd_ = -1;  ///< eventfd the shards' completion notifier writes
   std::uint16_t port_ = 0;
   std::uint64_t next_conn_id_ = 1;
   std::vector<Connection> conns_;
@@ -143,6 +154,7 @@ class SocketServer {
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> bytes_in_{0};
   std::atomic<std::uint64_t> bytes_out_{0};
+  std::atomic<std::uint64_t> turns_{0};
 };
 
 }  // namespace repro::serve::wire

@@ -173,6 +173,19 @@ void TraceService::cancel(Pending&& p, RejectReason reason, double now) {
   p.promise.set_value(std::move(response));
 }
 
+void TraceService::set_completion_notifier(std::function<void()> fn) {
+  std::lock_guard<std::mutex> lock(notifier_mutex_);
+  notifier_ = std::move(fn);
+}
+
+void TraceService::notify_completion() {
+  // Called under the lock: once set_completion_notifier({}) returns, no
+  // call is in flight, so its owner may release what the call touches
+  // (the socket server closes its eventfd).
+  std::lock_guard<std::mutex> lock(notifier_mutex_);
+  if (notifier_) notifier_();
+}
+
 std::size_t TraceService::pump() { return pump_at(clock_()); }
 
 std::size_t TraceService::pump_at(double now) {
@@ -188,11 +201,13 @@ std::size_t TraceService::pump_at(double now) {
       ++cancelled;
     }
     update_queue_gauges();
+    if (cancelled > 0) notify_completion();
     return cancelled;
   }
   FormedBatch formed = scheduler_.form(queue_, now);
   const std::size_t done = execute(std::move(formed), now);
   update_queue_gauges();
+  if (done > 0) notify_completion();
   return done;
 }
 
@@ -203,6 +218,7 @@ std::size_t TraceService::drain() {
     total += execute(scheduler_.form(queue_, now), now);
   }
   update_queue_gauges();
+  if (total > 0) notify_completion();
   return total;
 }
 

@@ -32,7 +32,9 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "serve/batcher.hpp"
@@ -127,6 +129,13 @@ class TraceService {
   /// Refuse all future submissions with kShuttingDown.
   void close() noexcept { closed_.store(true, std::memory_order_relaxed); }
 
+  /// Installs the function pump()/drain() call, on the pumping thread,
+  /// after they fulfil at least one response promise: a consumer that
+  /// waits on many futures (the socket front-end's poll loop) sleeps
+  /// until one may be ready instead of polling them. {} uninstalls;
+  /// once this returns, the previous notifier is never called again.
+  void set_completion_notifier(std::function<void()> fn);
+
   std::size_t pending() const { return queue_.size(); }
 
   /// Backpressure probe for open-loop prefetchers (replay/emit): how
@@ -179,6 +188,7 @@ class TraceService {
 
  private:
   std::size_t execute(FormedBatch&& formed, double now);
+  void notify_completion();
   void cancel(Pending&& p, RejectReason reason, double now);
   void update_queue_gauges();
   void note_event(observe::EventKind kind, std::uint64_t request_id,
@@ -210,6 +220,8 @@ class TraceService {
   std::atomic<std::uint64_t> own_rejected_{0};
   std::atomic<std::uint64_t> own_cache_hits_{0};
   std::atomic<bool> closed_{false};
+  std::mutex notifier_mutex_;
+  std::function<void()> notifier_;  // guarded by notifier_mutex_
   std::unique_ptr<BackgroundWorker> worker_;
 };
 

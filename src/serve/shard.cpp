@@ -133,6 +133,11 @@ void ShardedService::close() noexcept {
   for (auto& shard : shards_) shard->close();
 }
 
+void ShardedService::set_completion_notifier(
+    const std::function<void()>& fn) {
+  for (auto& shard : shards_) shard->set_completion_notifier(fn);
+}
+
 std::size_t ShardedService::pending() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) total += shard->pending();

@@ -142,6 +142,11 @@ class ShardedService {
     transport_health_ = std::move(fn);
   }
 
+  /// Installs `fn` as every shard's completion notifier (see
+  /// TraceService::set_completion_notifier); the socket server installs
+  /// one that wakes its poll loop.
+  void set_completion_notifier(const std::function<void()>& fn);
+
   /// Fleet health: worst-lane status, aggregate request counters, a
   /// per-shard section (queue depth, per-instance counters, SLO
   /// status), and — when a socket server is attached — a connections

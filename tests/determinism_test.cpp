@@ -130,9 +130,10 @@ TEST(Determinism, DiffusionSamplingSteps) {
     // forward paths (matmul, conv, attention) on every step.
     Rng sample_rng(31);
     const nn::Tensor ddim = diffusion::ddim_sample(
-        eps_fn, schedule, {2, 6, 8}, /*steps=*/4, /*eta=*/0.5f, sample_rng);
-    const nn::Tensor ddpm =
-        diffusion::ddpm_sample_from(eps_fn, schedule, ddim, 3, sample_rng);
+        eps_fn, schedule, {2, 6, 8}, /*steps=*/4, /*eta=*/0.5f,
+        {&sample_rng, 1});
+    const nn::Tensor ddpm = diffusion::ddpm_sample_from(eps_fn, schedule, ddim,
+                                                        3, {&sample_rng, 1});
     std::uint64_t h = hash_tensor(ddim);
     hash_bytes(h, ddpm.data(), ddpm.size() * sizeof(float));
     return h;

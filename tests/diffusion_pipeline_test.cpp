@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "flowgen/generator.hpp"
 
@@ -332,33 +333,52 @@ TEST_F(PipelineTest, SeededGenerationIsReproducible) {
 TEST_F(PipelineTest, SeededGenerationIsBatchInvariant) {
   // The serving determinism contract: a flow's bits depend only on its
   // own flow seed, never on which other flows shared the batched model
-  // call. Generate three seeds in one [3] call and compare each against
-  // its own [1] call.
-  GenerateOptions opts;
-  opts.ddim_steps = 4;
+  // call. For every sampler (DDIM with and without per-step noise, DDPM)
+  // and both starts (the SDEdit template start and pure noise), generate
+  // three seeds in one [3] call and compare each against its own [1]
+  // call.
+  struct Sampler {
+    const char* name;
+    SamplerKind kind;
+    float eta;
+  };
+  const Sampler samplers[] = {{"ddim eta=0", SamplerKind::kDdim, 0.0f},
+                              {"ddim eta=0.5", SamplerKind::kDdim, 0.5f},
+                              {"ddpm", SamplerKind::kDdpm, 0.0f}};
   const std::vector<std::uint64_t> seeds{fork_flow_seed(7, 0),
                                          fork_flow_seed(1234, 5),
                                          fork_flow_seed(7, 1)};
-  const auto batched = pipeline_->generate_with_flow_seeds(0, opts, seeds);
-  ASSERT_EQ(batched.size(), 3u);
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    const auto single =
-        pipeline_->generate_with_flow_seeds(0, opts, {seeds[i]});
-    ASSERT_EQ(single.size(), 1u);
-    expect_flows_identical(batched[i], single[0]);
+  for (const Sampler& sampler : samplers) {
+    for (const float strength : {0.35f, 1.0f}) {
+      SCOPED_TRACE(std::string(sampler.name) +
+                   (strength < 1.0f ? ", template start" : ", pure noise"));
+      GenerateOptions opts;
+      opts.sampler = sampler.kind;
+      opts.eta = sampler.eta;
+      opts.ddim_steps = 4;
+      opts.template_strength = strength;
+      const auto batched = pipeline_->generate_with_flow_seeds(0, opts, seeds);
+      ASSERT_EQ(batched.size(), 3u);
+      for (std::size_t i = 0; i < seeds.size(); ++i) {
+        const auto single =
+            pipeline_->generate_with_flow_seeds(0, opts, {seeds[i]});
+        ASSERT_EQ(single.size(), 1u);
+        expect_flows_identical(batched[i], single[0]);
+      }
+      // generate_seeded is exactly the fork_flow_seed expansion.
+      GenerateOptions two = opts;
+      two.count = 2;
+      const auto seeded = pipeline_->generate_seeded(0, two, 7);
+      ASSERT_EQ(seeded.size(), 2u);
+      expect_flows_identical(seeded[0], batched[0]);
+      expect_flows_identical(seeded[1], batched[2]);
+    }
   }
-  // generate_seeded is exactly the fork_flow_seed expansion.
-  GenerateOptions two = opts;
-  two.count = 2;
-  const auto seeded = pipeline_->generate_seeded(0, two, 7);
-  ASSERT_EQ(seeded.size(), 2u);
-  expect_flows_identical(seeded[0], batched[0]);
-  expect_flows_identical(seeded[1], batched[2]);
 }
 
 TEST_F(PipelineTest, SeededGenerationBatchInvariantUnderDdpm) {
   // Same contract through the stochastic sampler (per-step noise) and
-  // the pure-noise start.
+  // the pure-noise start, on another class and the default step count.
   GenerateOptions opts;
   opts.sampler = SamplerKind::kDdpm;
   opts.template_strength = 1.0f;

@@ -20,8 +20,10 @@ TEST(Ddim, ShapeAndDeterminismWithEtaZero) {
   NoiseSchedule schedule(50, ScheduleKind::kLinear);
   Rng rng1(7), rng2(7);
   const std::vector<std::size_t> shape{2, 3, 4};
-  const nn::Tensor a = ddim_sample(zero_eps(), schedule, shape, 10, 0.0f, rng1);
-  const nn::Tensor b = ddim_sample(zero_eps(), schedule, shape, 10, 0.0f, rng2);
+  const nn::Tensor a =
+      ddim_sample(zero_eps(), schedule, shape, 10, 0.0f, {&rng1, 1});
+  const nn::Tensor b =
+      ddim_sample(zero_eps(), schedule, shape, 10, 0.0f, {&rng2, 1});
   EXPECT_EQ(a.shape(), shape);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]);
@@ -40,7 +42,8 @@ TEST(Ddim, ZeroNoisePredictorScalesInitialNoise) {
     x0[i] = static_cast<float>(rng_ref.gaussian());
   }
   Rng rng(3);
-  const nn::Tensor out = ddim_sample(zero_eps(), schedule, shape, 40, 0.0f, rng);
+  const nn::Tensor out =
+      ddim_sample(zero_eps(), schedule, shape, 40, 0.0f, {&rng, 1});
   const float expected_scale =
       1.0f / schedule.sqrt_alpha_bar(schedule.timesteps() - 1);
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -56,20 +59,22 @@ TEST(Ddim, FewerStepsMeansFewerEvaluations) {
     return nn::Tensor::zeros(x.shape());
   };
   Rng rng(1);
-  ddim_sample(counting, schedule, {1, 2, 4}, 10, 0.0f, rng);
+  ddim_sample(counting, schedule, {1, 2, 4}, 10, 0.0f, {&rng, 1});
   EXPECT_EQ(evals, 10u);
   evals = 0;
-  ddpm_sample(counting, schedule, {1, 2, 4}, rng);
+  ddpm_sample(counting, schedule, {1, 2, 4}, {&rng, 1});
   EXPECT_EQ(evals, 100u);
 }
 
 TEST(Ddim, RejectsBadStepCounts) {
   NoiseSchedule schedule(20, ScheduleKind::kLinear);
   Rng rng(1);
-  EXPECT_THROW(ddim_sample(zero_eps(), schedule, {1, 1, 1}, 0, 0.0f, rng),
-               std::invalid_argument);
-  EXPECT_THROW(ddim_sample(zero_eps(), schedule, {1, 1, 1}, 21, 0.0f, rng),
-               std::invalid_argument);
+  EXPECT_THROW(
+      ddim_sample(zero_eps(), schedule, {1, 1, 1}, 0, 0.0f, {&rng, 1}),
+      std::invalid_argument);
+  EXPECT_THROW(
+      ddim_sample(zero_eps(), schedule, {1, 1, 1}, 21, 0.0f, {&rng, 1}),
+      std::invalid_argument);
 }
 
 TEST(Ddim, TimestepsVisitedAreDecreasing) {
@@ -80,7 +85,7 @@ TEST(Ddim, TimestepsVisitedAreDecreasing) {
     return nn::Tensor::zeros(x.shape());
   };
   Rng rng(5);
-  ddim_sample(recorder, schedule, {1, 1, 2}, 7, 0.0f, rng);
+  ddim_sample(recorder, schedule, {1, 1, 2}, 7, 0.0f, {&rng, 1});
   ASSERT_EQ(visited.size(), 7u);
   EXPECT_EQ(visited.front(), 99u);
   EXPECT_EQ(visited.back(), 0u);
@@ -97,7 +102,7 @@ TEST(Ddpm, VisitsAllTimestepsInReverse) {
     return nn::Tensor::zeros(x.shape());
   };
   Rng rng(6);
-  ddpm_sample(recorder, schedule, {1, 1, 2}, rng);
+  ddpm_sample(recorder, schedule, {1, 1, 2}, {&rng, 1});
   ASSERT_EQ(visited.size(), 25u);
   for (std::size_t i = 0; i < 25; ++i) {
     EXPECT_EQ(visited[i], 24 - i);
@@ -107,7 +112,8 @@ TEST(Ddpm, VisitsAllTimestepsInReverse) {
 TEST(Ddpm, OutputIsFinite) {
   NoiseSchedule schedule(30, ScheduleKind::kCosine);
   Rng rng(8);
-  const nn::Tensor out = ddpm_sample(zero_eps(), schedule, {2, 2, 4}, rng);
+  const nn::Tensor out =
+      ddpm_sample(zero_eps(), schedule, {2, 2, 4}, {&rng, 1});
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_TRUE(std::isfinite(out[i]));
   }
@@ -118,9 +124,11 @@ TEST(Ddim, EtaOneInjectsNoise) {
   // even with the same zero predictor (beyond the initial draw).
   NoiseSchedule schedule(50, ScheduleKind::kLinear);
   Rng rng1(9);
-  const nn::Tensor a = ddim_sample(zero_eps(), schedule, {1, 1, 16}, 25, 1.0f, rng1);
+  const nn::Tensor a =
+      ddim_sample(zero_eps(), schedule, {1, 1, 16}, 25, 1.0f, {&rng1, 1});
   Rng rng2(9);
-  const nn::Tensor b = ddim_sample(zero_eps(), schedule, {1, 1, 16}, 25, 0.0f, rng2);
+  const nn::Tensor b =
+      ddim_sample(zero_eps(), schedule, {1, 1, 16}, 25, 0.0f, {&rng2, 1});
   // Same initial noise, different eta -> different outputs.
   float diff = 0.0f;
   for (std::size_t i = 0; i < a.size(); ++i) diff += std::abs(a[i] - b[i]);
@@ -136,7 +144,7 @@ TEST(DdimFrom, PartialTrajectoryStartsAtT0) {
   };
   Rng rng(21);
   nn::Tensor start = nn::Tensor::full({1, 1, 4}, 0.5f);
-  ddim_sample_from(recorder, schedule, start, 40, 5, 0.0f, rng);
+  ddim_sample_from(recorder, schedule, start, 40, 5, 0.0f, {&rng, 1});
   ASSERT_EQ(visited.size(), 5u);
   EXPECT_EQ(visited.front(), 40u);
   EXPECT_EQ(visited.back(), 0u);
@@ -147,13 +155,13 @@ TEST(DdimFrom, RejectsBadArguments) {
   Rng rng(22);
   nn::Tensor start({1, 1, 2});
   EXPECT_THROW(
-      ddim_sample_from(zero_eps(), schedule, start, 20, 3, 0.0f, rng),
+      ddim_sample_from(zero_eps(), schedule, start, 20, 3, 0.0f, {&rng, 1}),
       std::invalid_argument);  // t0 out of range
   EXPECT_THROW(
-      ddim_sample_from(zero_eps(), schedule, start, 5, 0, 0.0f, rng),
+      ddim_sample_from(zero_eps(), schedule, start, 5, 0, 0.0f, {&rng, 1}),
       std::invalid_argument);  // zero steps
   EXPECT_THROW(
-      ddim_sample_from(zero_eps(), schedule, start, 5, 7, 0.0f, rng),
+      ddim_sample_from(zero_eps(), schedule, start, 5, 7, 0.0f, {&rng, 1}),
       std::invalid_argument);  // more steps than timesteps in range
 }
 
@@ -166,7 +174,7 @@ TEST(DdpmFrom, PartialTrajectoryVisitsT0DownToZero) {
   };
   Rng rng(23);
   nn::Tensor start({1, 1, 2});
-  ddpm_sample_from(recorder, schedule, start, 10, rng);
+  ddpm_sample_from(recorder, schedule, start, 10, {&rng, 1});
   ASSERT_EQ(visited.size(), 11u);
   EXPECT_EQ(visited.front(), 10u);
   EXPECT_EQ(visited.back(), 0u);
@@ -197,7 +205,7 @@ TEST(Ddim, OraclePredictorRecoversCleanSample) {
   }
   const nn::Tensor out =
       ddim_sample(oracle_eps(x0, schedule), schedule, x0.shape(), 20, 0.0f,
-                  rng);
+                  {&rng, 1});
   for (std::size_t i = 0; i < x0.size(); ++i) {
     EXPECT_NEAR(out[i], x0[i], 2e-2f) << "index " << i;
   }
@@ -219,7 +227,7 @@ TEST(Ddim, OracleRecoveryFromPartialTrajectory) {
     xt[i] = sa * x0[i] + sb * static_cast<float>(rng.gaussian());
   }
   const nn::Tensor out = ddim_sample_from(oracle_eps(x0, schedule), schedule,
-                                          xt, t0, 10, 0.0f, rng);
+                                          xt, t0, 10, 0.0f, {&rng, 1});
   for (std::size_t i = 0; i < x0.size(); ++i) {
     EXPECT_NEAR(out[i], x0[i], 2e-2f);
   }
@@ -263,11 +271,32 @@ TEST(Ddim, SingleStepJumpsToX0Estimate) {
     return nn::Tensor::zeros(x.shape());
   };
   Rng rng(10);
-  const nn::Tensor out = ddim_sample(counting, schedule, {1, 1, 4}, 1, 0.0f, rng);
+  const nn::Tensor out =
+      ddim_sample(counting, schedule, {1, 1, 4}, 1, 0.0f, {&rng, 1});
   EXPECT_EQ(evals, 1u);
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_TRUE(std::isfinite(out[i]));
   }
+}
+
+TEST(NoiseStreams, SpanMustHoldOneStreamOrOnePerSample) {
+  NoiseSchedule schedule(10, ScheduleKind::kLinear);
+  std::vector<Rng> two(2, Rng(1));
+  const std::vector<std::size_t> shape{3, 1, 4};
+  EXPECT_THROW(ddim_sample(zero_eps(), schedule, shape, 4, 0.0f, two),
+               std::invalid_argument);
+  EXPECT_THROW(ddpm_sample(zero_eps(), schedule, shape, two),
+               std::invalid_argument);
+  EXPECT_THROW(
+      ddim_sample_from(zero_eps(), schedule, nn::Tensor(shape), 5, 3, 0.0f,
+                       two),
+      std::invalid_argument);
+  EXPECT_THROW(
+      ddpm_sample_from(zero_eps(), schedule, nn::Tensor(shape), 5, two),
+      std::invalid_argument);
+  std::vector<Rng> none;
+  EXPECT_THROW(ddpm_sample(zero_eps(), schedule, shape, none),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "diffusion/constraint.hpp"
 #include "flowgen/generator.hpp"
 #include "flowgen/tcp_session.hpp"
@@ -146,6 +149,52 @@ TEST(Conntrack, IdleTimeoutRecyclesEntries) {
   EXPECT_EQ(tracker.process(syn2, 100.0), Verdict::kForward);
   EXPECT_EQ(tracker.state_of(syn2), TcpState::kSynSent);
   EXPECT_EQ(tracker.stats().connections_tracked, 2u);
+}
+
+TEST(Conntrack, IdleSweepBoundsTheTable) {
+  // 400 short sessions, one every 10 ms across 4 s of trace, with a 1 s
+  // idle timeout: the amortised sweep keeps the table within two idle
+  // windows' worth of sessions (it held all 400 before the sweep), and
+  // every packet is still accepted.
+  ConntrackConfig config;
+  config.idle_timeout = 1.0;
+  ConntrackFunction tracker(config);
+  constexpr std::size_t kSessions = 400;
+  constexpr double kSpacing = 0.010;
+  std::vector<net::Packet> trace;
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    Rng rng(i + 1);
+    const net::Flow flow = flowgen::generate_tcp_flow(
+        flowgen::app_profile(flowgen::App::kNetflix),
+        flowgen::Endpoints{0x0A000001, 0x0D000001,
+                           static_cast<std::uint16_t>(20000 + i), 443},
+        12, rng);
+    for (std::size_t k = 0; k < flow.packets.size(); ++k) {
+      net::Packet pkt = flow.packets[k];
+      pkt.timestamp = static_cast<double>(i) * kSpacing +
+                      static_cast<double>(k) * 0.001;
+      trace.push_back(std::move(pkt));
+    }
+  }
+  std::stable_sort(trace.begin(), trace.end(),
+                   [](const net::Packet& a, const net::Packet& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+  std::size_t accepted = 0;
+  std::size_t peak = 0;
+  for (net::Packet& pkt : trace) {
+    if (tracker.process(pkt, pkt.timestamp) == Verdict::kForward) {
+      ++accepted;
+    }
+    peak = std::max(peak, tracker.tracked());
+  }
+  EXPECT_EQ(accepted, trace.size());
+  EXPECT_EQ(tracker.stats().handshakes_completed, kSessions);
+  EXPECT_EQ(tracker.stats().teardowns_completed, kSessions);
+  const auto per_window =
+      static_cast<std::size_t>(config.idle_timeout / kSpacing);
+  EXPECT_LE(peak, 2 * per_window + 2);
+  EXPECT_LT(tracker.tracked(), kSessions);
 }
 
 TEST(Conntrack, SynReopensClosedTuple) {

@@ -8,15 +8,19 @@
 // No model is trained here: the live-server tests run against an EMPTY
 // registry, so every well-formed request is answered synchronously with
 // a typed unknown_model error and no shard worker ever touches a
-// pipeline. That keeps the whole suite cheap enough for the `sanitize`
-// label (ASan/UBSan/TSan runs).
+// pipeline; the one test that needs a pending reply installs an unfitted
+// model and lets the request's deadline expire before any model work.
+// That keeps the whole suite cheap enough for the `sanitize` label
+// (ASan/UBSan/TSan runs).
 #include "serve/net/protocol.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "flowgen/generator.hpp"
@@ -508,6 +512,60 @@ TEST_F(SocketConformanceTest, AbruptDisconnectMidFrameNeverWedges) {
   }  // destructor closes the socket with the frame torn
   BlockingClient fresh(server_->port());
   expect_conn_alive(fresh);
+}
+
+TEST(SocketServerLoop, PendingReplyDoesNotSpinTheLoop) {
+  // While a reply is pending the loop must sleep in poll() until the
+  // shard fulfils it, not spin: over a pending stretch of >= 50 ms it
+  // takes about one turn per poll_wait, never thousands.
+  diffusion::PipelineConfig model_cfg;
+  model_cfg.packets = 4;
+  model_cfg.autoencoder.hidden_dim = 8;
+  model_cfg.autoencoder.latent_dim = 2;
+  model_cfg.unet.base_channels = 4;
+  model_cfg.unet.temb_dim = 4;
+  model_cfg.unet.groups = 2;
+  ModelRegistry registry;
+  // Never sampled: the request below expires before the shard runs it.
+  registry.install("default",
+                   std::make_shared<diffusion::TraceDiffusion>(
+                       model_cfg, std::vector<std::string>{"a", "b"}),
+                   "v1");
+  ShardedConfig cfg;
+  cfg.service.batch.max_wait = 0.0;
+  ShardedService sharded(registry, cfg);  // pumped by hand below
+  ServerConfig server_cfg;
+  SocketServer server(sharded, server_cfg);
+  server.start();
+
+  BlockingClient client(server.port());
+  client.send(sample_request(), /*deadline_ms=*/1.0);
+  const auto waited_since = std::chrono::steady_clock::now();
+  while (sharded.pending() == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now() - waited_since,
+              std::chrono::seconds(10));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::uint64_t turns_before = server.loop_turns();
+  const auto pending_since = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  EXPECT_EQ(sharded.pump(), 1u);  // the expired request is cancelled
+  const auto reply = client.read_reply(10.0);
+  const double pending_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() -
+                               pending_since)
+                               .count();
+  const std::uint64_t turns = server.loop_turns() - turns_before;
+  server.stop();
+
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_TRUE(reply->ok());
+  EXPECT_EQ(reply->response->status, "cancelled");
+  EXPECT_GE(pending_s, 0.05);
+  EXPECT_LE(static_cast<double>(turns),
+            2.0 * pending_s / server_cfg.poll_wait + 4.0)
+      << turns << " loop turns in " << pending_s << " s";
+  EXPECT_NE(sharded.health_json().find("\"loop_turns\""), std::string::npos);
 }
 
 }  // namespace
