@@ -21,6 +21,7 @@
 
 #include "common/contracts.hpp"
 #include "common/env.hpp"
+#include "common/json.hpp"
 #include "common/parallel/thread_pool.hpp"
 #include "common/telemetry/export.hpp"
 #include "common/telemetry/metrics.hpp"
@@ -100,7 +101,7 @@ inline void print_header(const char* title, const char* paper_artifact) {
 
 /// Serializes the Scale (the run's environment knobs) into `json` as an
 /// object value.
-inline void append_scale(telemetry::JsonWriter& json, const Scale& scale) {
+inline void append_scale(JsonWriter& json, const Scale& scale) {
   json.begin_object();
   const std::pair<const char*, std::size_t> fields[] = {
       {"flows_per_class", scale.flows_per_class},
@@ -161,7 +162,7 @@ class BenchReport {
     close_stage();
     const double total = seconds_since(start_);
 
-    telemetry::JsonWriter json;
+    JsonWriter json;
     json.begin_object();
     json.key("bench");
     json.value(name_);

@@ -56,6 +56,11 @@ class ByteWriter {
     out_.push_back(static_cast<std::uint8_t>(v));
   }
 
+  void u64_be(std::uint64_t v) {
+    u32_be(static_cast<std::uint32_t>(v >> 32));
+    u32_be(static_cast<std::uint32_t>(v));
+  }
+
   void u16_le(std::uint16_t v) {
     out_.push_back(static_cast<std::uint8_t>(v));
     out_.push_back(static_cast<std::uint8_t>(v >> 8));
@@ -108,6 +113,11 @@ class ByteReader {
                             static_cast<std::uint32_t>(data_[pos_ + 3]);
     pos_ += 4;
     return v;
+  }
+
+  std::uint64_t u64_be() {
+    const std::uint64_t hi = u32_be();
+    return (hi << 32) | u32_be();
   }
 
   std::uint16_t u16_le() {

@@ -1,122 +1,11 @@
 #include "common/telemetry/export.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 
 #include "common/env.hpp"
 
 namespace repro::telemetry {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-void JsonWriter::element_prefix() {
-  if (pending_key_) {
-    pending_key_ = false;
-    return;
-  }
-  if (!first_.empty()) {
-    if (!first_.back()) out_ += ',';
-    first_.back() = false;
-  }
-}
-
-void JsonWriter::begin_object() {
-  element_prefix();
-  out_ += '{';
-  first_.push_back(true);
-}
-
-void JsonWriter::end_object() {
-  out_ += '}';
-  first_.pop_back();
-}
-
-void JsonWriter::begin_array() {
-  element_prefix();
-  out_ += '[';
-  first_.push_back(true);
-}
-
-void JsonWriter::end_array() {
-  out_ += ']';
-  first_.pop_back();
-}
-
-void JsonWriter::key(const std::string& k) {
-  element_prefix();
-  out_ += json_escape(k);
-  out_ += ':';
-  pending_key_ = true;
-}
-
-void JsonWriter::value(const std::string& v) {
-  element_prefix();
-  out_ += json_escape(v);
-}
-
-void JsonWriter::value(const char* v) { value(std::string(v)); }
-
-void JsonWriter::value(double v) {
-  element_prefix();
-  if (!std::isfinite(v)) {
-    out_ += "null";
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  out_ += buf;
-}
-
-void JsonWriter::value(std::uint64_t v) {
-  element_prefix();
-  out_ += std::to_string(v);
-}
-
-void JsonWriter::value(bool v) {
-  element_prefix();
-  out_ += v ? "true" : "false";
-}
-
-void JsonWriter::raw(const std::string& fragment) {
-  element_prefix();
-  out_ += fragment;
-}
 
 void append_metrics(JsonWriter& json, const MetricsSnapshot& snapshot) {
   json.begin_object();

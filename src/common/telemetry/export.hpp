@@ -1,49 +1,14 @@
-// JSON serialization of telemetry state: a dependency-free writer plus
-// exporters for the metrics registry snapshot and the span profile tree.
-//
-// The writer produces compact single-line JSON. Doubles are emitted with
-// enough precision to round-trip; NaN/Inf (not representable in JSON)
-// become null.
+// JSON exporters for telemetry state: the metrics registry snapshot and
+// the span profile tree, written with common/json's JsonWriter.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
+#include "common/json.hpp"
 #include "common/telemetry/metrics.hpp"
 #include "common/telemetry/trace.hpp"
 
 namespace repro::telemetry {
-
-/// Escapes and quotes `s` for use as a JSON string token.
-std::string json_escape(const std::string& s);
-
-/// Minimal streaming JSON builder with automatic comma placement.
-class JsonWriter {
- public:
-  void begin_object();
-  void end_object();
-  void begin_array();
-  void end_array();
-  void key(const std::string& k);
-  void value(const std::string& v);
-  void value(const char* v);
-  void value(double v);
-  void value(std::uint64_t v);
-  void value(bool v);
-  /// Splices `fragment` verbatim as the next element — the caller
-  /// guarantees it is well-formed JSON (used for pre-built span args).
-  void raw(const std::string& fragment);
-
-  const std::string& str() const& { return out_; }
-  std::string str() && { return std::move(out_); }
-
- private:
-  void element_prefix();
-  std::string out_;
-  std::vector<bool> first_;  // one entry per open container
-  bool pending_key_ = false;
-};
 
 /// Appends the registry snapshot as an object:
 /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,min,

@@ -7,7 +7,7 @@
 #include <mutex>
 
 #include "common/env.hpp"
-#include "common/telemetry/export.hpp"
+#include "common/json.hpp"
 
 namespace repro::telemetry {
 namespace detail {

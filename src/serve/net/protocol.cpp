@@ -1,32 +1,26 @@
 #include "serve/net/protocol.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
+#include <span>
+#include <stdexcept>
 
-#include "common/telemetry/export.hpp"
-#include "serve/observe/inspect.hpp"
+#include "common/bytes.hpp"
+#include "common/fnv.hpp"
+#include "common/json.hpp"
 
 namespace repro::serve::wire {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-constexpr char kHexDigits[] = "0123456789abcdef";
-
-void fnv_mix(std::uint64_t& h, const void* data, std::size_t n) noexcept {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-}
+/// Smallest encoding of a flow (label, packet count) and of a packet
+/// (timestamp bits, length) in a response's binary section.
+constexpr std::size_t kFlowMinBytes = 8;
+constexpr std::size_t kPacketMinBytes = 10;
 
 void fnv_mix_u64(std::uint64_t& h, std::uint64_t v) noexcept {
   unsigned char le[8];
   for (int i = 0; i < 8; ++i) le[i] = static_cast<unsigned char>(v >> (8 * i));
-  fnv_mix(h, le, sizeof le);
+  h = fnv1a(le, sizeof le, h);
 }
 
 std::uint64_t double_bits(double v) noexcept {
@@ -34,6 +28,13 @@ std::uint64_t double_bits(double v) noexcept {
   static_assert(sizeof bits == sizeof v);
   std::memcpy(&bits, &v, sizeof bits);
   return bits;
+}
+
+void put_u32_be(std::uint8_t* at, std::uint32_t v) noexcept {
+  at[0] = static_cast<std::uint8_t>(v >> 24);
+  at[1] = static_cast<std::uint8_t>(v >> 16);
+  at[2] = static_cast<std::uint8_t>(v >> 8);
+  at[3] = static_cast<std::uint8_t>(v);
 }
 
 bool valid_frame_type(std::uint8_t type) noexcept {
@@ -53,11 +54,11 @@ bool to_integer(double num, std::uint64_t max, std::uint64_t& out) {
 
 /// Accepts a u64 carried as either a decimal JSON string (bit-exact for
 /// values above 2^53) or a plain JSON number.
-bool parse_u64_field(const observe::JsonValue& v, std::uint64_t& out) {
-  if (v.type == observe::JsonValue::Type::kNumber) {
+bool parse_u64_field(const JsonValue& v, std::uint64_t& out) {
+  if (v.type == JsonValue::Type::kNumber) {
     return to_integer(v.number, UINT64_MAX, out);
   }
-  if (v.type != observe::JsonValue::Type::kString || v.string.empty() ||
+  if (v.type != JsonValue::Type::kString || v.string.empty() ||
       v.string.size() > 20) {
     return false;
   }
@@ -69,38 +70,6 @@ bool parse_u64_field(const observe::JsonValue& v, std::uint64_t& out) {
     value = value * 10 + digit;
   }
   out = value;
-  return true;
-}
-
-bool parse_hex_u64(const std::string& s, std::uint64_t& out) {
-  if (s.size() != 16) return false;
-  std::uint64_t value = 0;
-  for (char c : s) {
-    int digit;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-    else return false;
-    value = (value << 4) | static_cast<std::uint64_t>(digit);
-  }
-  out = value;
-  return true;
-}
-
-bool parse_hex_bytes(const std::string& s, std::vector<std::uint8_t>& out) {
-  if (s.size() % 2 != 0) return false;
-  out.clear();
-  out.reserve(s.size() / 2);
-  for (std::size_t i = 0; i < s.size(); i += 2) {
-    int hi, lo;
-    const char a = s[i], b = s[i + 1];
-    if (a >= '0' && a <= '9') hi = a - '0';
-    else if (a >= 'a' && a <= 'f') hi = a - 'a' + 10;
-    else return false;
-    if (b >= '0' && b <= '9') lo = b - '0';
-    else if (b >= 'a' && b <= 'f') lo = b - 'a' + 10;
-    else return false;
-    out.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
-  }
   return true;
 }
 
@@ -119,7 +88,7 @@ const char* to_string(DecodeStatus status) noexcept {
   return "unknown";
 }
 
-// --- FrameDecoder ---------------------------------------------------------
+// --- Frames ---------------------------------------------------------------
 
 void FrameDecoder::feed(const void* data, std::size_t n) {
   if (poisoned() || n == 0) return;
@@ -158,138 +127,15 @@ DecodeStatus FrameDecoder::next(Frame& out) {
   return DecodeStatus::kFrame;
 }
 
-// --- FrameWriter ----------------------------------------------------------
-
-FrameWriter::FrameWriter(std::vector<std::uint8_t>& out, FrameType type)
-    : out_(out), start_(out.size()) {
-  const std::uint8_t header[kHeaderBytes] = {
-      kFrameMagic, kProtocolVersion, static_cast<std::uint8_t>(type),
-      0,           0,                0,
-      0,           0};
-  out_.insert(out_.end(), header, header + kHeaderBytes);
-}
-
-void FrameWriter::append(const char* s, std::size_t n) {
-  out_.insert(out_.end(), reinterpret_cast<const std::uint8_t*>(s),
-              reinterpret_cast<const std::uint8_t*>(s) + n);
-}
-
-void FrameWriter::comma() {
-  if (pending_key_) {
-    pending_key_ = false;
-    return;
-  }
-  if (!first_.empty()) {
-    if (!first_.back()) append(",", 1);
-    first_.back() = false;
-  }
-}
-
-void FrameWriter::begin_object() {
-  comma();
-  append("{", 1);
-  first_.push_back(true);
-}
-
-void FrameWriter::end_object() {
-  append("}", 1);
-  first_.pop_back();
-}
-
-void FrameWriter::begin_array() {
-  comma();
-  append("[", 1);
-  first_.push_back(true);
-}
-
-void FrameWriter::end_array() {
-  append("]", 1);
-  first_.pop_back();
-}
-
-void FrameWriter::key(const char* name) {
-  comma();
-  append("\"", 1);
-  append(name, std::strlen(name));  // keys are controlled literals
-  append("\":", 2);
-  pending_key_ = true;
-}
-
-void FrameWriter::value(const char* s) { value(std::string(s)); }
-
-void FrameWriter::value(const std::string& s) {
-  comma();
-  const std::string quoted = telemetry::json_escape(s);
-  append(quoted.data(), quoted.size());
-}
-
-void FrameWriter::value_u64(std::uint64_t v) {
-  comma();
-  char digits[24];
-  const int len = std::snprintf(digits, sizeof digits, "%llu",
-                                static_cast<unsigned long long>(v));
-  append(digits, static_cast<std::size_t>(len));
-}
-
-void FrameWriter::value_i64(std::int64_t v) {
-  comma();
-  char digits[24];
-  const int len = std::snprintf(digits, sizeof digits, "%lld",
-                                static_cast<long long>(v));
-  append(digits, static_cast<std::size_t>(len));
-}
-
-void FrameWriter::value_bool(bool v) {
-  comma();
-  if (v) {
-    append("true", 4);
-  } else {
-    append("false", 5);
-  }
-}
-
-void FrameWriter::value_hex_u64(std::uint64_t bits) {
-  comma();
-  char hex[18];
-  hex[0] = '"';
-  for (int i = 0; i < 16; ++i) {
-    hex[1 + i] = kHexDigits[(bits >> (60 - 4 * i)) & 0xF];
-  }
-  hex[17] = '"';
-  append(hex, sizeof hex);
-}
-
-void FrameWriter::value_hex_bytes(const std::uint8_t* data, std::size_t n) {
-  comma();
-  append("\"", 1);
-  // Bulk path: hex needs no escaping, so write straight into the
-  // out-buffer instead of round-tripping through json_escape.
-  const std::size_t at = out_.size();
-  out_.resize(at + 2 * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out_[at + 2 * i] = static_cast<std::uint8_t>(kHexDigits[data[i] >> 4]);
-    out_[at + 2 * i + 1] =
-        static_cast<std::uint8_t>(kHexDigits[data[i] & 0xF]);
-  }
-  append("\"", 1);
-}
-
-void FrameWriter::value_decimal_string_u64(std::uint64_t v) {
-  comma();
-  char digits[24];
-  const int len = std::snprintf(digits, sizeof digits, "\"%llu\"",
-                                static_cast<unsigned long long>(v));
-  append(digits, static_cast<std::size_t>(len));
-}
-
-std::size_t FrameWriter::end() {
-  const std::size_t payload = out_.size() - start_ - kHeaderBytes;
-  const auto len = static_cast<std::uint32_t>(payload);
-  out_[start_ + 4] = static_cast<std::uint8_t>(len >> 24);
-  out_[start_ + 5] = static_cast<std::uint8_t>(len >> 16);
-  out_[start_ + 6] = static_cast<std::uint8_t>(len >> 8);
-  out_[start_ + 7] = static_cast<std::uint8_t>(len);
-  return payload;
+void append_frame(std::vector<std::uint8_t>& out, FrameType type,
+                  std::string_view payload) {
+  ByteWriter w(out);
+  w.u8(kFrameMagic);
+  w.u8(kProtocolVersion);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u8(0);  // flags
+  w.u32_be(static_cast<std::uint32_t>(payload.size()));
+  out.insert(out.end(), payload.begin(), payload.end());
 }
 
 // --- UTF-8 ----------------------------------------------------------------
@@ -340,32 +186,34 @@ bool valid_utf8(std::string_view s) noexcept {
 void append_request_frame(std::vector<std::uint8_t>& out,
                           const GenerateRequest& request,
                           double deadline_ms) {
-  FrameWriter frame(out, FrameType::kRequest);
-  frame.begin_object();
-  frame.key("model");
-  frame.value(request.model);
-  frame.key("class_id");
-  frame.value_i64(request.class_id);
-  frame.key("count");
-  frame.value_u64(request.count);
-  frame.key("seed");
-  frame.value_decimal_string_u64(request.seed);
-  frame.key("sampler");
-  frame.value(request.sampler == diffusion::SamplerKind::kDdim   ? "ddim"
-              : request.sampler == diffusion::SamplerKind::kDdpm ? "ddpm"
-                                                                 : "distilled");
-  frame.key("steps");
-  frame.value_u64(request.ddim_steps);
-  frame.key("priority");
-  frame.value(request.priority == Priority::kHigh     ? "high"
-              : request.priority == Priority::kNormal ? "normal"
-                                                      : "low");
+  JsonWriter json;
+  json.begin_object();
+  json.key("model");
+  json.value(request.model);
+  json.key("class_id");
+  json.value(static_cast<std::int64_t>(request.class_id));
+  json.key("count");
+  json.value(static_cast<std::uint64_t>(request.count));
+  // A decimal string: seeds may exceed 2^53, which a JSON number
+  // (double) cannot carry bit-exactly.
+  json.key("seed");
+  json.value(std::to_string(request.seed));
+  json.key("sampler");
+  json.value(request.sampler == diffusion::SamplerKind::kDdim   ? "ddim"
+             : request.sampler == diffusion::SamplerKind::kDdpm ? "ddpm"
+                                                                : "distilled");
+  json.key("steps");
+  json.value(static_cast<std::uint64_t>(request.ddim_steps));
+  json.key("priority");
+  json.value(request.priority == Priority::kHigh     ? "high"
+             : request.priority == Priority::kNormal ? "normal"
+                                                     : "low");
   if (deadline_ms >= 0) {
-    frame.key("deadline_ms");
-    frame.value_u64(static_cast<std::uint64_t>(deadline_ms));
+    json.key("deadline_ms");
+    json.value(static_cast<std::uint64_t>(deadline_ms));
   }
-  frame.end_object();
-  frame.end();
+  json.end_object();
+  append_frame(out, FrameType::kRequest, json.str());
 }
 
 std::optional<WireRequest> parse_request_payload(const std::string& payload,
@@ -376,7 +224,7 @@ std::optional<WireRequest> parse_request_payload(const std::string& payload,
   }
   // parse_json rejects trailing garbage, so "junk after the document"
   // lands here too.
-  const std::optional<observe::JsonValue> doc = observe::parse_json(payload);
+  const std::optional<JsonValue> doc = parse_json(payload);
   if (!doc) {
     error = "payload is not a well-formed JSON document";
     return std::nullopt;
@@ -387,14 +235,14 @@ std::optional<WireRequest> parse_request_payload(const std::string& payload,
   }
 
   WireRequest out;
-  if (const observe::JsonValue* v = doc->find("model")) {
-    if (v->type != observe::JsonValue::Type::kString || v->string.empty()) {
+  if (const JsonValue* v = doc->find("model")) {
+    if (v->type != JsonValue::Type::kString || v->string.empty()) {
       error = "field 'model' must be a non-empty string";
       return std::nullopt;
     }
     out.request.model = v->string;
   }
-  if (const observe::JsonValue* v = doc->find("class_id")) {
+  if (const JsonValue* v = doc->find("class_id")) {
     std::uint64_t n = 0;
     if (!to_integer(v->num_or(-1.0), 1u << 20, n)) {
       error = "field 'class_id' must be a small non-negative integer";
@@ -402,7 +250,7 @@ std::optional<WireRequest> parse_request_payload(const std::string& payload,
     }
     out.request.class_id = static_cast<int>(n);
   }
-  if (const observe::JsonValue* v = doc->find("count")) {
+  if (const JsonValue* v = doc->find("count")) {
     std::uint64_t n = 0;
     if (!to_integer(v->num_or(-1.0), 1u << 20, n)) {
       error = "field 'count' must be a small non-negative integer";
@@ -410,13 +258,13 @@ std::optional<WireRequest> parse_request_payload(const std::string& payload,
     }
     out.request.count = static_cast<std::size_t>(n);
   }
-  if (const observe::JsonValue* v = doc->find("seed")) {
+  if (const JsonValue* v = doc->find("seed")) {
     if (!parse_u64_field(*v, out.request.seed)) {
       error = "field 'seed' must be a u64 (number or decimal string)";
       return std::nullopt;
     }
   }
-  if (const observe::JsonValue* v = doc->find("sampler")) {
+  if (const JsonValue* v = doc->find("sampler")) {
     const std::string& name = v->str_or("");
     if (name == "ddim") {
       out.request.sampler = diffusion::SamplerKind::kDdim;
@@ -431,13 +279,13 @@ std::optional<WireRequest> parse_request_payload(const std::string& payload,
   }
   // The model runs fp32 only. An explicit "fp32" is accepted; any other
   // route is refused rather than silently served as fp32 bytes.
-  if (const observe::JsonValue* v = doc->find("precision")) {
+  if (const JsonValue* v = doc->find("precision")) {
     if (v->str_or("") != "fp32") {
       error = "field 'precision' must be \"fp32\"";
       return std::nullopt;
     }
   }
-  if (const observe::JsonValue* v = doc->find("steps")) {
+  if (const JsonValue* v = doc->find("steps")) {
     std::uint64_t n = 0;
     if (!to_integer(v->num_or(-1.0), 100000, n) || n == 0) {
       error = "field 'steps' must be a positive integer";
@@ -445,7 +293,7 @@ std::optional<WireRequest> parse_request_payload(const std::string& payload,
     }
     out.request.ddim_steps = static_cast<std::size_t>(n);
   }
-  if (const observe::JsonValue* v = doc->find("priority")) {
+  if (const JsonValue* v = doc->find("priority")) {
     const std::string& name = v->str_or("");
     if (name == "high") {
       out.request.priority = Priority::kHigh;
@@ -458,7 +306,7 @@ std::optional<WireRequest> parse_request_payload(const std::string& payload,
       return std::nullopt;
     }
   }
-  if (const observe::JsonValue* v = doc->find("deadline_ms")) {
+  if (const JsonValue* v = doc->find("deadline_ms")) {
     const double ms = v->num_or(-1.0);
     if (!(ms >= 0) || !(ms <= 1e12)) {
       error = "field 'deadline_ms' must be a non-negative number";
@@ -473,147 +321,137 @@ std::optional<WireRequest> parse_request_payload(const std::string& payload,
 
 void append_response_frame(std::vector<std::uint8_t>& out,
                            const Response& response) {
-  FrameWriter frame(out, FrameType::kResponse);
-  frame.begin_object();
-  frame.key("request_id");
-  frame.value_u64(response.request_id);
-  if (response.status == ResponseStatus::kCancelled) {
-    frame.key("status");
-    frame.value("cancelled");
-    frame.key("reason");
-    frame.value(to_string(response.cancel_reason));
-    frame.end_object();
-    frame.end();
-    return;
+  const bool cancelled = response.status == ResponseStatus::kCancelled;
+  JsonWriter json;
+  json.begin_object();
+  json.key("request_id");
+  json.value(response.request_id);
+  json.key("status");
+  json.value(cancelled ? "cancelled" : "ok");
+  if (cancelled) {
+    json.key("reason");
+    json.value(to_string(response.cancel_reason));
+  } else {
+    json.key("model_version");
+    json.value(response.model_version);
+    json.key("cache_hit");
+    json.value(response.cache_hit);
+    json.key("batch_flows");
+    json.value(static_cast<std::uint64_t>(response.batch_flows));
   }
-  frame.key("status");
-  frame.value("ok");
-  frame.key("model_version");
-  frame.value(response.model_version);
-  frame.key("cache_hit");
-  frame.value_bool(response.cache_hit);
-  frame.key("batch_flows");
-  frame.value_u64(response.batch_flows);
-  frame.key("flows");
-  frame.begin_array();
-  for (const repro::net::Flow& flow : response.flows) {
-    frame.begin_object();
-    frame.key("label");
-    frame.value_i64(flow.label);
-    frame.key("packets");
-    frame.begin_array();
+  json.end_object();
+  const std::string& header = json.str();
+
+  // Frame header with a zero length, patched once the payload is built.
+  const std::size_t start = out.size();
+  append_frame(out, FrameType::kResponse, {});
+  ByteWriter w(out);
+  w.u32_be(static_cast<std::uint32_t>(header.size()));
+  out.insert(out.end(), header.begin(), header.end());
+  const std::size_t flows = cancelled ? 0 : response.flows.size();
+  w.u32_be(static_cast<std::uint32_t>(flows));
+  for (std::size_t f = 0; f < flows; ++f) {
+    const repro::net::Flow& flow = response.flows[f];
+    w.u32_be(static_cast<std::uint32_t>(flow.label));
+    w.u32_be(static_cast<std::uint32_t>(flow.packets.size()));
     for (const repro::net::Packet& packet : flow.packets) {
       const std::vector<std::uint8_t> datagram = packet.serialize();
-      frame.begin_object();
-      frame.key("ts");
-      frame.value_hex_u64(double_bits(packet.timestamp));
-      frame.key("bytes");
-      frame.value_hex_bytes(datagram.data(), datagram.size());
-      frame.end_object();
+      if (datagram.size() > 0xFFFF) {
+        throw std::length_error("response: datagram exceeds 65535 bytes");
+      }
+      w.u64_be(double_bits(packet.timestamp));
+      w.u16_be(static_cast<std::uint16_t>(datagram.size()));
+      w.bytes(datagram);
     }
-    frame.end_array();
-    frame.end_object();
   }
-  frame.end_array();
-  frame.end_object();
-  frame.end();
+  put_u32_be(out.data() + start + 4,
+             static_cast<std::uint32_t>(out.size() - start - kHeaderBytes));
 }
 
 void append_error_frame(std::vector<std::uint8_t>& out,
                         std::uint64_t request_id, const char* error,
                         const std::string& message) {
-  FrameWriter frame(out, FrameType::kError);
-  frame.begin_object();
-  frame.key("request_id");
-  frame.value_u64(request_id);
-  frame.key("error");
-  frame.value(error);
-  frame.key("message");
-  frame.value(message);
-  frame.end_object();
-  frame.end();
+  JsonWriter json;
+  json.begin_object();
+  json.key("request_id");
+  json.value(request_id);
+  json.key("error");
+  json.value(error);
+  json.key("message");
+  json.value(message);
+  json.end_object();
+  append_frame(out, FrameType::kError, json.str());
 }
 
 // --- Client-side decoding -------------------------------------------------
 
 std::optional<WireResponse> parse_response_payload(
     const std::string& payload) {
-  const std::optional<observe::JsonValue> doc = observe::parse_json(payload);
-  if (!doc || !doc->is_object()) return std::nullopt;
-
+  ByteReader in({reinterpret_cast<const std::uint8_t*>(payload.data()),
+                 payload.size()});
   WireResponse out;
-  if (const observe::JsonValue* v = doc->find("request_id")) {
-    if (!parse_u64_field(*v, out.request_id)) return std::nullopt;
-  }
-  const observe::JsonValue* status = doc->find("status");
-  if (!status) return std::nullopt;
-  out.status = status->str_or("");
-  if (out.status == "cancelled") {
-    if (const observe::JsonValue* v = doc->find("reason")) {
-      out.reason = v->str_or("");
+  try {
+    const std::span<const std::uint8_t> header = in.bytes(in.u32_be());
+    const std::optional<JsonValue> doc = parse_json(
+        std::string(header.begin(), header.end()));
+    if (!doc || !doc->is_object()) return std::nullopt;
+    if (const JsonValue* v = doc->find("request_id")) {
+      if (!parse_u64_field(*v, out.request_id)) return std::nullopt;
     }
-    return out;
-  }
-  if (out.status != "ok") return std::nullopt;
-  if (const observe::JsonValue* v = doc->find("model_version")) {
-    out.model_version = v->str_or("");
-  }
-  if (const observe::JsonValue* v = doc->find("cache_hit")) {
-    out.cache_hit =
-        v->type == observe::JsonValue::Type::kBool && v->boolean;
-  }
-  if (const observe::JsonValue* v = doc->find("batch_flows")) {
-    if (!parse_u64_field(*v, out.batch_flows)) return std::nullopt;
-  }
-  const observe::JsonValue* flows = doc->find("flows");
-  if (!flows || !flows->is_array()) return std::nullopt;
-  out.flows.reserve(flows->array.size());
-  for (const observe::JsonValue& flow_doc : flows->array) {
-    if (!flow_doc.is_object()) return std::nullopt;
-    WireFlow flow;
-    if (const observe::JsonValue* v = flow_doc.find("label")) {
-      const double num = v->num_or(-1e18);
-      if (num != std::floor(num) || num < -2e9 || num > 2e9) {
-        return std::nullopt;
+    const JsonValue* status = doc->find("status");
+    if (!status) return std::nullopt;
+    out.status = status->str_or("");
+    if (out.status == "cancelled") {
+      if (const JsonValue* v = doc->find("reason")) out.reason = v->str_or("");
+    } else if (out.status == "ok") {
+      if (const JsonValue* v = doc->find("model_version")) {
+        out.model_version = v->str_or("");
       }
-      flow.label = static_cast<int>(num);
+      if (const JsonValue* v = doc->find("cache_hit")) {
+        out.cache_hit = v->type == JsonValue::Type::kBool && v->boolean;
+      }
+      if (const JsonValue* v = doc->find("batch_flows")) {
+        if (!parse_u64_field(*v, out.batch_flows)) return std::nullopt;
+      }
+    } else {
+      return std::nullopt;
     }
-    const observe::JsonValue* packets = flow_doc.find("packets");
-    if (!packets || !packets->is_array()) return std::nullopt;
-    flow.packets.reserve(packets->array.size());
-    for (const observe::JsonValue& packet_doc : packets->array) {
-      if (!packet_doc.is_object()) return std::nullopt;
-      WirePacket packet;
-      const observe::JsonValue* ts = packet_doc.find("ts");
-      const observe::JsonValue* bytes = packet_doc.find("bytes");
-      if (!ts || ts->type != observe::JsonValue::Type::kString ||
-          !parse_hex_u64(ts->string, packet.ts_bits)) {
-        return std::nullopt;
+
+    const std::uint32_t flows = in.u32_be();
+    if (flows > in.remaining() / kFlowMinBytes) return std::nullopt;
+    if (out.status == "cancelled" && flows != 0) return std::nullopt;
+    out.flows.resize(flows);
+    for (WireFlow& flow : out.flows) {
+      flow.label = static_cast<std::int32_t>(in.u32_be());
+      const std::uint32_t packets = in.u32_be();
+      if (packets > in.remaining() / kPacketMinBytes) return std::nullopt;
+      flow.packets.resize(packets);
+      for (WirePacket& packet : flow.packets) {
+        packet.ts_bits = in.u64_be();
+        const std::span<const std::uint8_t> bytes = in.bytes(in.u16_be());
+        packet.bytes.assign(bytes.begin(), bytes.end());
       }
-      if (!bytes || bytes->type != observe::JsonValue::Type::kString ||
-          !parse_hex_bytes(bytes->string, packet.bytes)) {
-        return std::nullopt;
-      }
-      flow.packets.push_back(std::move(packet));
     }
-    out.flows.push_back(std::move(flow));
+  } catch (const std::out_of_range&) {
+    return std::nullopt;  // a length ran past the end of the payload
   }
+  if (in.remaining() != 0) return std::nullopt;
   return out;
 }
 
 std::optional<WireError> parse_error_payload(const std::string& payload) {
-  const std::optional<observe::JsonValue> doc = observe::parse_json(payload);
+  const std::optional<JsonValue> doc = parse_json(payload);
   if (!doc || !doc->is_object()) return std::nullopt;
   WireError out;
-  if (const observe::JsonValue* v = doc->find("request_id")) {
+  if (const JsonValue* v = doc->find("request_id")) {
     if (!parse_u64_field(*v, out.request_id)) return std::nullopt;
   }
-  const observe::JsonValue* error = doc->find("error");
-  if (!error || error->type != observe::JsonValue::Type::kString) {
+  const JsonValue* error = doc->find("error");
+  if (!error || error->type != JsonValue::Type::kString) {
     return std::nullopt;
   }
   out.error = error->string;
-  if (const observe::JsonValue* v = doc->find("message")) {
+  if (const JsonValue* v = doc->find("message")) {
     out.message = v->str_or("");
   }
   return out;
@@ -632,7 +470,7 @@ std::uint64_t hash_flows(const std::vector<repro::net::Flow>& flows) {
       const std::vector<std::uint8_t> datagram = packet.serialize();
       fnv_mix_u64(h, double_bits(packet.timestamp));
       fnv_mix_u64(h, datagram.size());
-      fnv_mix(h, datagram.data(), datagram.size());
+      h = fnv1a(datagram.data(), datagram.size(), h);
     }
   }
   return h;
@@ -648,7 +486,7 @@ std::uint64_t hash_wire_flows(const std::vector<WireFlow>& flows) {
     for (const WirePacket& packet : flow.packets) {
       fnv_mix_u64(h, packet.ts_bits);
       fnv_mix_u64(h, packet.bytes.size());
-      fnv_mix(h, packet.bytes.data(), packet.bytes.size());
+      h = fnv1a(packet.bytes.data(), packet.bytes.size(), h);
     }
   }
   return h;

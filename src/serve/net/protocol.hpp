@@ -1,14 +1,31 @@
-// Wire protocol of the socket front-end: length-prefixed JSON frames.
+// Wire protocol of the socket front-end: length-prefixed frames.
 //
 // Frame layout (byte-exact; locked in by tests/serve_net_test.cpp):
 //
 //   offset  size  field
 //   0       1     magic    0xC7
-//   1       1     version  0x01
+//   1       1     version  0x02
 //   2       1     type     1 = request, 2 = response, 3 = error
 //   3       1     flags    must be 0 (reserved)
 //   4       4     length   payload bytes, big-endian u32
-//   8       len   payload  UTF-8 JSON document
+//   8       len   payload
+//
+// Request and error payloads are one UTF-8 JSON document. A response
+// payload is a small JSON header followed by the packets as bytes
+// (all integers big-endian):
+//
+//   u32  header length H
+//   H    JSON header {request_id, status, reason | model_version,
+//        cache_hit, batch_flows}
+//   u32  flow count (0 for a cancelled reply)
+//   per flow:   i32 label, u32 packet count
+//   per packet: u64 bit pattern of the double timestamp, u16 length L,
+//               L bytes of Packet::serialize()
+//
+// Timestamps travel as their bits and datagrams verbatim, so a decoded
+// response is bit-identical to the in-process Response it was built
+// from. The decoder checks every count against the bytes left before
+// it reserves anything, and rejects trailing bytes.
 //
 // Error handling is two-tier. FRAMING errors (bad magic / version /
 // type / flags, oversized length) mean byte synchronization with the
@@ -21,13 +38,8 @@
 // Error frames carry the same reason strings as serve::RejectReason
 // (`to_string(reason)`), so a queue_full/unknown_model/bad_request
 // reject looks identical whether it was observed in-process from
-// SubmitResult or over the wire.
-//
-// Determinism on the wire: packet timestamps travel as the 16-hex-digit
-// bit pattern of their double (JSON number formatting is not guaranteed
-// to round-trip bits) and packet bytes as the hex of
-// Packet::serialize(), so a decoded response is bit-identical to the
-// in-process Response it was built from.
+// SubmitResult or over the wire. A model call that threw is answered
+// with kModelError and the exception's message.
 //
 // Namespace note: this layer is `serve::wire`, not `serve::net`,
 // because a nested `net` namespace would shadow `repro::net` (flows,
@@ -45,10 +57,12 @@
 namespace repro::serve::wire {
 
 inline constexpr std::uint8_t kFrameMagic = 0xC7;
-inline constexpr std::uint8_t kProtocolVersion = 0x01;
+inline constexpr std::uint8_t kProtocolVersion = 0x02;
 inline constexpr std::size_t kHeaderBytes = 8;
 /// Default payload-size ceiling (admission control for memory).
 inline constexpr std::size_t kDefaultMaxPayload = std::size_t{8} << 20;
+/// Error spelling for a request whose model call threw.
+inline constexpr const char* kModelError = "model_error";
 
 enum class FrameType : std::uint8_t {
   kRequest = 1,
@@ -104,48 +118,9 @@ class FrameDecoder {
   DecodeStatus poison_ = DecodeStatus::kNeedMore;
 };
 
-/// Streaming frame writer: builds the JSON payload DIRECTLY in the
-/// caller's buffer (the connection's out-buffer), so a response with
-/// thousands of packets is serialized exactly once — reserve the
-/// 8-byte header, append payload bytes, patch the length in end().
-class FrameWriter {
- public:
-  FrameWriter(std::vector<std::uint8_t>& out, FrameType type);
-
-  void begin_object();
-  void end_object();
-  void begin_array();
-  void end_array();
-  void key(const char* name);
-  void value(const char* s);
-  void value(const std::string& s);
-  void value_u64(std::uint64_t v);
-  void value_i64(std::int64_t v);
-  void value_bool(bool v);
-  /// The 16-hex-digit bit pattern of a u64, as a JSON string.
-  void value_hex_u64(std::uint64_t bits);
-  /// Bytes hex-encoded (2 chars per byte), as a JSON string.
-  void value_hex_bytes(const std::uint8_t* data, std::size_t n);
-  /// A u64 as a decimal JSON STRING — seeds may exceed 2^53, which a
-  /// JSON number (double) cannot carry bit-exactly.
-  void value_decimal_string_u64(std::uint64_t v);
-
-  /// Patches the header's length field. Returns the payload size.
-  std::size_t end();
-
-  /// Offset of this frame's header in the output buffer (lets a caller
-  /// roll back an oversized frame and emit an error frame instead).
-  std::size_t start() const noexcept { return start_; }
-
- private:
-  void comma();
-  void append(const char* s, std::size_t n);
-
-  std::vector<std::uint8_t>& out_;
-  std::size_t start_;
-  std::vector<bool> first_;
-  bool pending_key_ = false;
-};
+/// Appends one frame: the 8-byte header, then `payload`.
+void append_frame(std::vector<std::uint8_t>& out, FrameType type,
+                  std::string_view payload);
 
 /// Strict UTF-8 validation (rejects overlongs, surrogates, > U+10FFFF).
 bool valid_utf8(std::string_view s) noexcept;
@@ -172,6 +147,9 @@ std::optional<WireRequest> parse_request_payload(const std::string& payload,
 
 // --- Response / error payloads --------------------------------------------
 
+/// Appends a response frame straight into `out` (the connection's
+/// out-buffer). Throws std::length_error for a datagram over 65,535
+/// bytes, leaving a partial frame the caller must roll back.
 void append_response_frame(std::vector<std::uint8_t>& out,
                            const Response& response);
 
@@ -201,6 +179,9 @@ struct WireResponse {
   std::vector<WireFlow> flows;
 };
 
+/// nullopt for any malformed payload: a length or count past the bytes
+/// left, trailing bytes, a status other than ok/cancelled, or a
+/// cancelled reply that carries flows.
 std::optional<WireResponse> parse_response_payload(
     const std::string& payload);
 

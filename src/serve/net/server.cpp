@@ -13,8 +13,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "common/json.hpp"
 #include "common/logging.hpp"
-#include "common/telemetry/export.hpp"
 #include "common/telemetry/metrics.hpp"
 
 namespace repro::serve::wire {
@@ -330,18 +330,29 @@ std::size_t SocketServer::harvest(Connection& conn) {
       ++i;
       continue;
     }
-    const Response& response = conn.waiting[i].response.get();
+    const std::uint64_t trace_id = conn.waiting[i].trace_id;
     const std::size_t start = conn.out.size();
-    append_response_frame(conn.out, response);
-    const std::size_t payload = conn.out.size() - start - kHeaderBytes;
-    if (payload > config_.max_payload) {
-      // Roll the oversized frame back and answer with an error the
-      // peer's decoder can actually accept.
+    const char* error = nullptr;
+    std::string message;
+    try {
+      append_response_frame(conn.out, conn.waiting[i].response.get());
+      if (conn.out.size() - start - kHeaderBytes > config_.max_payload) {
+        error = "bad_request";
+        message = "response exceeds the frame size limit";
+      }
+    } catch (const std::exception& e) {
+      // get() rethrows what a failed model call stored in the future: a
+      // typed error for this request, not the end of the server.
+      error = kModelError;
+      message = e.what();
+    }
+    if (error != nullptr) {
+      // Roll back whatever was appended and answer with an error frame
+      // the peer's decoder can accept.
       conn.out.resize(start);
-      send_error(conn, conn.waiting[i].trace_id, "bad_request",
-                 "response exceeds the frame size limit");
+      send_error(conn, trace_id, error, message);
     } else {
-      note_frame_sent(conn, conn.waiting[i].trace_id, payload);
+      note_frame_sent(conn, trace_id, conn.out.size() - start - kHeaderBytes);
     }
     conn.waiting.erase(conn.waiting.begin() +
                        static_cast<std::ptrdiff_t>(i));
@@ -435,7 +446,7 @@ void SocketServer::reap_closed() {
 }
 
 std::string SocketServer::health_fragment() const {
-  telemetry::JsonWriter json;
+  JsonWriter json;
   json.begin_object();
   json.key("port");
   json.value(static_cast<std::uint64_t>(port_));

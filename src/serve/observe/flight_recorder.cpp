@@ -1,6 +1,6 @@
 #include "serve/observe/flight_recorder.hpp"
 
-#include "common/telemetry/export.hpp"
+#include "common/json.hpp"
 #include "common/telemetry/metrics.hpp"
 
 namespace repro::serve::observe {
@@ -93,7 +93,7 @@ std::string FlightRecorder::dump_json() const {
 std::string flight_dump_json(const std::vector<FlightEvent>& events,
                              std::size_t capacity, std::uint64_t recorded,
                              std::uint64_t overwritten) {
-  telemetry::JsonWriter json;
+  JsonWriter json;
   json.begin_object();
   json.key("capacity");
   json.value(static_cast<std::uint64_t>(capacity));

@@ -1,183 +1,12 @@
 #include "serve/observe/inspect.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
+#include <map>
 
-#include "common/telemetry/export.hpp"
+#include "common/json.hpp"
 
 namespace repro::serve::observe {
-
-const JsonValue* JsonValue::find(const std::string& key) const {
-  if (type != Type::kObject) return nullptr;
-  const auto it = object.find(key);
-  return it == object.end() ? nullptr : &it->second;
-}
-
-// --- Recursive-descent JSON reader ----------------------------------------
-
-namespace {
-
-struct Parser {
-  const std::string& text;
-  std::size_t pos = 0;
-  bool failed = false;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-  char peek() {
-    skip_ws();
-    return pos < text.size() ? text[pos] : '\0';
-  }
-  bool consume(char c) {
-    if (peek() != c) return false;
-    ++pos;
-    return true;
-  }
-  bool consume_word(const char* word) {
-    const std::size_t len = std::char_traits<char>::length(word);
-    if (text.compare(pos, len, word) != 0) return false;
-    pos += len;
-    return true;
-  }
-
-  JsonValue parse_value() {
-    JsonValue out;
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"':
-        out.type = JsonValue::Type::kString;
-        out.string = parse_string();
-        return out;
-      case 't':
-        if (consume_word("true")) {
-          out.type = JsonValue::Type::kBool;
-          out.boolean = true;
-          return out;
-        }
-        break;
-      case 'f':
-        if (consume_word("false")) {
-          out.type = JsonValue::Type::kBool;
-          return out;
-        }
-        break;
-      case 'n':
-        if (consume_word("null")) return out;
-        break;
-      default: return parse_number();
-    }
-    failed = true;
-    return out;
-  }
-
-  std::string parse_string() {
-    std::string out;
-    if (!consume('"')) {
-      failed = true;
-      return out;
-    }
-    while (pos < text.size()) {
-      const char c = text[pos++];
-      if (c == '"') return out;
-      if (c == '\\' && pos < text.size()) {
-        const char esc = text[pos++];
-        switch (esc) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u': {
-            // Decode \uXXXX; non-ASCII code points are passed through as
-            // '?' — metric/event names in our dumps are ASCII.
-            if (pos + 4 <= text.size()) {
-              const unsigned long cp =
-                  std::strtoul(text.substr(pos, 4).c_str(), nullptr, 16);
-              out += cp < 0x80 ? static_cast<char>(cp) : '?';
-              pos += 4;
-            } else {
-              failed = true;
-              return out;
-            }
-            break;
-          }
-          default: out += esc;
-        }
-      } else {
-        out += c;
-      }
-    }
-    failed = true;  // unterminated
-    return out;
-  }
-
-  JsonValue parse_number() {
-    JsonValue out;
-    skip_ws();
-    const char* start = text.c_str() + pos;
-    char* end = nullptr;
-    out.number = std::strtod(start, &end);
-    if (end == start) {
-      failed = true;
-      return out;
-    }
-    out.type = JsonValue::Type::kNumber;
-    pos += static_cast<std::size_t>(end - start);
-    return out;
-  }
-
-  JsonValue parse_object() {
-    JsonValue out;
-    out.type = JsonValue::Type::kObject;
-    consume('{');
-    if (consume('}')) return out;
-    do {
-      if (peek() != '"') {
-        failed = true;
-        return out;
-      }
-      std::string key = parse_string();
-      if (!consume(':')) {
-        failed = true;
-        return out;
-      }
-      out.object.emplace(std::move(key), parse_value());
-      if (failed) return out;
-    } while (consume(','));
-    if (!consume('}')) failed = true;
-    return out;
-  }
-
-  JsonValue parse_array() {
-    JsonValue out;
-    out.type = JsonValue::Type::kArray;
-    consume('[');
-    if (consume(']')) return out;
-    do {
-      out.array.push_back(parse_value());
-      if (failed) return out;
-    } while (consume(','));
-    if (!consume(']')) failed = true;
-    return out;
-  }
-};
-
-}  // namespace
-
-std::optional<JsonValue> parse_json(const std::string& text) {
-  Parser parser{text};
-  JsonValue value = parser.parse_value();
-  parser.skip_ws();
-  if (parser.failed || parser.pos != text.size()) return std::nullopt;
-  return value;
-}
 
 // --- Flight-dump decoding -------------------------------------------------
 
@@ -402,7 +231,7 @@ std::string report_text(const InspectReport& report) {
 }
 
 std::string report_json(const InspectReport& report) {
-  telemetry::JsonWriter json;
+  JsonWriter json;
   json.begin_object();
   json.key("requests");
   json.value(static_cast<std::uint64_t>(report.requests.size()));

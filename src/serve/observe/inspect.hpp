@@ -1,9 +1,7 @@
 // Timeline reconstruction from flight-recorder dumps and Chrome traces.
 //
-// The flight recorder emits flat JSON; this layer parses it back (a
-// minimal dependency-free JSON reader — the repo has a writer in
-// common/telemetry but deliberately had no reader until now) and
-// reconstructs:
+// The flight recorder emits flat JSON; this layer parses it back with
+// common/json's reader and reconstructs:
 //   * per-request timelines — ordered events from admission to the
 //     terminal event, flagged complete/incomplete,
 //   * per-batch composition — which requests each batched model call
@@ -15,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,33 +20,6 @@
 #include "serve/observe/events.hpp"
 
 namespace repro::serve::observe {
-
-// --- Minimal JSON value + reader ------------------------------------------
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  bool is_object() const noexcept { return type == Type::kObject; }
-  bool is_array() const noexcept { return type == Type::kArray; }
-  /// Object member or nullptr (also nullptr when not an object).
-  const JsonValue* find(const std::string& key) const;
-  double num_or(double fallback) const noexcept {
-    return type == Type::kNumber ? number : fallback;
-  }
-  const std::string& str_or(const std::string& fallback) const {
-    return type == Type::kString ? string : fallback;
-  }
-};
-
-/// Parses one JSON document; nullopt on malformed input (trailing
-/// garbage after the document is also malformed).
-std::optional<JsonValue> parse_json(const std::string& text);
 
 // --- Flight-dump decoding -------------------------------------------------
 

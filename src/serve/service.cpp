@@ -4,8 +4,8 @@
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "common/json.hpp"
 #include "common/logging.hpp"
-#include "common/telemetry/export.hpp"
 #include "common/telemetry/trace.hpp"
 
 namespace repro::serve {
@@ -345,7 +345,7 @@ void TraceService::update_queue_gauges() {
 
 std::string TraceService::health_json() const {
   const double now = clock_();
-  telemetry::JsonWriter json;
+  JsonWriter json;
   json.begin_object();
   json.key("status");
   json.value(slo_.overall_status(now));

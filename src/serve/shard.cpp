@@ -4,22 +4,11 @@
 #include <cstdio>
 #include <cstring>
 
-#include "common/telemetry/export.hpp"
+#include "common/fnv.hpp"
+#include "common/json.hpp"
 
 namespace repro::serve {
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a64(const char* data, std::size_t n,
-                      std::uint64_t h = kFnvOffset) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 /// Avalanche finalizer (the 64-bit mix from MurmurHash3). Raw FNV-1a of
 /// short keys that differ only in a trailing digit leaves the high bits
@@ -45,12 +34,12 @@ int status_rank(const char* status) noexcept {
 
 std::uint64_t shard_key_hash(const std::string& model,
                              int class_id) noexcept {
-  // Finalized fnv1a64("<model>:<class_id>") without building the string.
-  std::uint64_t h = fnv1a64(model.data(), model.size());
-  h = fnv1a64(":", 1, h);
+  // Finalized fnv1a("<model>:<class_id>") without building the string.
+  std::uint64_t h = fnv1a(model.data(), model.size());
+  h = fnv1a(":", 1, h);
   char digits[16];
   const int len = std::snprintf(digits, sizeof digits, "%d", class_id);
-  return mix64(fnv1a64(digits, static_cast<std::size_t>(len), h));
+  return mix64(fnv1a(digits, static_cast<std::size_t>(len), h));
 }
 
 ShardRing::ShardRing(std::size_t shards, std::size_t vnodes)
@@ -61,7 +50,7 @@ ShardRing::ShardRing(std::size_t shards, std::size_t vnodes)
     for (std::size_t v = 0; v < points; ++v) {
       char name[48];
       const int len = std::snprintf(name, sizeof name, "shard-%zu#%zu", s, v);
-      points_.emplace_back(mix64(fnv1a64(name, static_cast<std::size_t>(len))),
+      points_.emplace_back(mix64(fnv1a(name, static_cast<std::size_t>(len))),
                            static_cast<std::uint32_t>(s));
     }
   }
@@ -189,7 +178,7 @@ std::string ShardedService::health_json() const {
     worst = std::max(worst, status_rank(shard->slo().overall_status(now)));
   }
 
-  telemetry::JsonWriter json;
+  JsonWriter json;
   json.begin_object();
   json.key("status");
   json.value(worst == 2 ? "breached" : worst == 1 ? "at_risk" : "ok");

@@ -5,7 +5,7 @@
 // BackgroundWorker — all fronting the SAME ModelRegistry. Requests are
 // routed by a consistent-hash ring over (model, class):
 //
-//   shard = ring.shard_of(fnv1a64(model + ':' + class_id))
+//   shard = ring.shard_of(fnv1a(model + ':' + class_id))
 //
 // Routing by (model, class) has two consequences the serving contract
 // depends on. First, a BatchKey is (model, class, sampler, steps), so

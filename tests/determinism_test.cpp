@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/parallel/thread_pool.hpp"
 #include "common/rng.hpp"
 #include "diffusion/distill.hpp"
@@ -35,15 +36,8 @@
 namespace repro {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
 void hash_bytes(std::uint64_t& h, const void* data, std::size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
+  h = fnv1a(data, size, h);
 }
 
 std::uint64_t hash_floats(const float* data, std::size_t count) {

@@ -1,6 +1,6 @@
 // Unit tests for src/serve/observe: flight recorder ring semantics and
-// its zero-cost disabled path, SLO error-budget windows, the JSON
-// reader, and timeline reconstruction.
+// its zero-cost disabled path, SLO error-budget windows, and timeline
+// reconstruction.
 //
 // This suite lives in its own test executable: it overrides the global
 // operator new to count heap allocations, which must not leak into any
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/telemetry/metrics.hpp"
 #include "serve/observe/flight_recorder.hpp"
 #include "serve/observe/inspect.hpp"
@@ -213,34 +214,6 @@ TEST(SloTracker, WindowExpiryForgivesOldViolations) {
   EXPECT_EQ(later.total, 0u);
   EXPECT_DOUBLE_EQ(later.budget_remaining, 1.0);
   EXPECT_STREQ(later.status, "ok");
-}
-
-// --- JSON reader ----------------------------------------------------------
-
-TEST(JsonReader, ParsesScalarsContainersAndEscapes) {
-  const auto doc = parse_json(
-      R"({"a":[1,2.5,-3e2],"s":"x\"y\n","t":true,"f":false,"n":null})");
-  ASSERT_TRUE(doc.has_value());
-  ASSERT_TRUE(doc->is_object());
-  const JsonValue* a = doc->find("a");
-  ASSERT_NE(a, nullptr);
-  ASSERT_TRUE(a->is_array());
-  ASSERT_EQ(a->array.size(), 3u);
-  EXPECT_DOUBLE_EQ(a->array[0].number, 1.0);
-  EXPECT_DOUBLE_EQ(a->array[1].number, 2.5);
-  EXPECT_DOUBLE_EQ(a->array[2].number, -300.0);
-  EXPECT_EQ(doc->find("s")->str_or(""), "x\"y\n");
-  EXPECT_TRUE(doc->find("t")->boolean);
-  EXPECT_FALSE(doc->find("f")->boolean);
-  EXPECT_EQ(doc->find("n")->type, JsonValue::Type::kNull);
-}
-
-TEST(JsonReader, RejectsMalformedDocuments) {
-  EXPECT_FALSE(parse_json("").has_value());
-  EXPECT_FALSE(parse_json("{\"a\":}").has_value());
-  EXPECT_FALSE(parse_json("[1,2").has_value());
-  EXPECT_FALSE(parse_json("{} trailing").has_value());
-  EXPECT_FALSE(parse_json("{\"a\" 1}").has_value());
 }
 
 // --- Reconstruction -------------------------------------------------------

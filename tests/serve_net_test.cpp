@@ -8,8 +8,9 @@
 // No model is trained here: the live-server tests run against an EMPTY
 // registry, so every well-formed request is answered synchronously with
 // a typed unknown_model error and no shard worker ever touches a
-// pipeline; the one test that needs a pending reply installs an unfitted
-// model and lets the request's deadline expire before any model work.
+// pipeline. Two tests install an unfitted model and pump the shard by
+// hand: one lets the request's deadline expire before any model work,
+// the other lets the model call throw.
 // That keeps the whole suite cheap enough for the `sanitize` label
 // (ASan/UBSan/TSan runs).
 #include "serve/net/protocol.hpp"
@@ -20,6 +21,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -38,26 +40,12 @@ std::uint32_t header_length(const std::vector<std::uint8_t>& frame) {
          static_cast<std::uint32_t>(frame[7]);
 }
 
-/// Hand-crafts a frame around an arbitrary payload (FrameWriter only
-/// emits well-formed JSON; the corpus needs broken payloads too).
+/// One frame around an arbitrary payload (the corpus needs broken
+/// payloads as well as well-formed ones).
 std::vector<std::uint8_t> raw_frame(FrameType type,
-                                    const std::string& payload) {
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  const std::uint8_t header[8] = {
-      kFrameMagic,
-      kProtocolVersion,
-      static_cast<std::uint8_t>(type),
-      0,
-      static_cast<std::uint8_t>(len >> 24),
-      static_cast<std::uint8_t>(len >> 16),
-      static_cast<std::uint8_t>(len >> 8),
-      static_cast<std::uint8_t>(len),
-  };
-  std::vector<std::uint8_t> out(sizeof(header) + payload.size());
-  std::memcpy(out.data(), header, sizeof(header));
-  if (!payload.empty()) {
-    std::memcpy(out.data() + sizeof(header), payload.data(), payload.size());
-  }
+                                    std::string_view payload) {
+  std::vector<std::uint8_t> out;
+  append_frame(out, type, payload);
   return out;
 }
 
@@ -71,6 +59,19 @@ GenerateRequest sample_request() {
   r.ddim_steps = 4;
   r.priority = Priority::kNormal;
   return r;
+}
+
+/// A toy model that was never fitted: sampling it throws.
+std::shared_ptr<diffusion::TraceDiffusion> unfitted_model() {
+  diffusion::PipelineConfig model_cfg;
+  model_cfg.packets = 4;
+  model_cfg.autoencoder.hidden_dim = 8;
+  model_cfg.autoencoder.latent_dim = 2;
+  model_cfg.unet.base_channels = 4;
+  model_cfg.unet.temb_dim = 4;
+  model_cfg.unet.groups = 2;
+  return std::make_shared<diffusion::TraceDiffusion>(
+      model_cfg, std::vector<std::string>{"a", "b"});
 }
 
 TEST(WireProtocol, RequestFrameGoldenBytes) {
@@ -219,9 +220,9 @@ TEST(WireProtocol, OversizedFrameRejectedFromHeaderAlone) {
 }
 
 TEST(WireProtocol, ResponseRoundTripIsBitExact) {
-  // Timestamps travel as the 16-hex-digit bit pattern of the double and
-  // packet bytes as hex of Packet::serialize(); the decoded reply must
-  // hash identically to the in-process flows.
+  // Timestamps travel as the bit pattern of the double and packets as
+  // the bytes of Packet::serialize(); the decoded reply must hash
+  // identically to the in-process flows.
   Rng rng(123);
   Response response;
   response.request_id = 77;
@@ -514,23 +515,72 @@ TEST_F(SocketConformanceTest, AbruptDisconnectMidFrameNeverWedges) {
   expect_conn_alive(fresh);
 }
 
+TEST_F(SocketConformanceTest, FailedModelCallAnswersModelError) {
+  // Sampling an unfitted model throws; the shard stores the exception in
+  // the request's future. The server answers one typed model_error frame
+  // carrying the exception's message and keeps serving, on the same
+  // connection and on new ones.
+  registry_.install("unfitted", unfitted_model(), "v1");
+  GenerateRequest request = sample_request();
+  request.model = "unfitted";
+  BlockingClient client(server_->port());
+  client.send(request);
+  const auto waited_since = std::chrono::steady_clock::now();
+  while (sharded_->pending() == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now() - waited_since,
+              std::chrono::seconds(10));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(sharded_->pump(), 1u);
+  const auto reply = client.read_reply(10.0);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_FALSE(reply->ok());
+  EXPECT_EQ(reply->error->error, kModelError);
+  EXPECT_NE(reply->error->request_id, 0u);
+  EXPECT_NE(reply->error->message.find("fit"), std::string::npos)
+      << reply->error->message;
+  expect_conn_alive(client);
+  BlockingClient fresh(server_->port());
+  expect_conn_alive(fresh);
+}
+
+TEST(SocketServerLoop, DeeplyNestedPayloadIsBadRequestNotACrash) {
+  // A megabyte of '[' is a well-framed request whose JSON nests far
+  // past kMaxJsonDepth: the reader refuses it without recursing that
+  // deep, so the server answers bad_request and the connection lives.
+  ModelRegistry registry;  // empty: a good request is unknown_model
+  ShardedConfig cfg;
+  cfg.service.batch.max_wait = 0.0;
+  ShardedService sharded(registry, cfg);
+  ServerConfig server_cfg;
+  server_cfg.max_payload = std::size_t{2} << 20;
+  SocketServer server(sharded, server_cfg);
+  server.start();
+
+  BlockingClient client(server.port());
+  const auto frame = raw_frame(FrameType::kRequest,
+                               std::string(std::size_t{1} << 20, '['));
+  client.send_raw(frame.data(), frame.size());
+  const auto reply = client.read_reply(30.0);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_FALSE(reply->ok());
+  EXPECT_EQ(reply->error->error, "bad_request");
+  EXPECT_NE(reply->error->request_id, 0u);
+
+  const auto next = client.call(sample_request(), -1.0, 10.0);
+  ASSERT_TRUE(next.has_value());
+  ASSERT_FALSE(next->ok());
+  EXPECT_EQ(next->error->error, "unknown_model");
+  server.stop();
+}
+
 TEST(SocketServerLoop, PendingReplyDoesNotSpinTheLoop) {
   // While a reply is pending the loop must sleep in poll() until the
   // shard fulfils it, not spin: over a pending stretch of >= 50 ms it
   // takes about one turn per poll_wait, never thousands.
-  diffusion::PipelineConfig model_cfg;
-  model_cfg.packets = 4;
-  model_cfg.autoencoder.hidden_dim = 8;
-  model_cfg.autoencoder.latent_dim = 2;
-  model_cfg.unet.base_channels = 4;
-  model_cfg.unet.temb_dim = 4;
-  model_cfg.unet.groups = 2;
   ModelRegistry registry;
   // Never sampled: the request below expires before the shard runs it.
-  registry.install("default",
-                   std::make_shared<diffusion::TraceDiffusion>(
-                       model_cfg, std::vector<std::string>{"a", "b"}),
-                   "v1");
+  registry.install("default", unfitted_model(), "v1");
   ShardedConfig cfg;
   cfg.service.batch.max_wait = 0.0;
   ShardedService sharded(registry, cfg);  // pumped by hand below

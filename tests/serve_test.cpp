@@ -14,6 +14,8 @@
 #include <cstring>
 #include <memory>
 
+#include "common/fnv.hpp"
+#include "common/json.hpp"
 #include "common/parallel/thread_pool.hpp"
 #include "common/telemetry/metrics.hpp"
 #include "flowgen/generator.hpp"
@@ -54,13 +56,9 @@ flowgen::Dataset tiny_dataset(std::size_t per_class) {
 }
 
 std::uint64_t hash_flows(const std::vector<net::Flow>& flows) {
-  std::uint64_t h = 1469598103934665603ULL;
+  std::uint64_t h = kFnvOffset;
   auto mix = [&h](const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ULL;
-    }
+    h = fnv1a(data, size, h);
   };
   for (const auto& flow : flows) {
     mix(&flow.label, sizeof(flow.label));
@@ -534,7 +532,7 @@ TEST_F(ServeTest, TracingOnOrOffNeverChangesServedBits) {
       ASSERT_EQ(ra.status, ResponseStatus::kOk);
       ASSERT_EQ(rb.status, ResponseStatus::kOk);
       std::uint64_t h = hash_flows(ra.flows);
-      h ^= hash_flows(rb.flows) * 1099511628211ULL;
+      h ^= hash_flows(rb.flows) * kFnvPrime;
       hashes[traced ? 1 : 0] = h;
       // Traced run actually recorded a timeline; untraced recorded none.
       EXPECT_EQ(service.flight_recorder().recorded() > 0, traced);
@@ -646,23 +644,23 @@ TEST_F(ServeTest, HealthJsonReportsLanesBudgetsAndRecorderState) {
   service.drain();
   ASSERT_EQ(r.response.get().status, ResponseStatus::kOk);
 
-  const auto doc = observe::parse_json(service.health_json());
+  const auto doc = parse_json(service.health_json());
   ASSERT_TRUE(doc.has_value());
   ASSERT_TRUE(doc->is_object());
   // Instant completions on the fake clock cannot violate any objective.
   EXPECT_EQ(doc->find("status")->str_or(""), "ok");
-  const observe::JsonValue* requests = doc->find("requests");
+  const JsonValue* requests = doc->find("requests");
   ASSERT_NE(requests, nullptr);
   EXPECT_GE(requests->find("completed")->num_or(0), 1.0);
-  const observe::JsonValue* lanes = doc->find("lanes");
+  const JsonValue* lanes = doc->find("lanes");
   ASSERT_NE(lanes, nullptr);
   ASSERT_EQ(lanes->array.size(), static_cast<std::size_t>(kPriorityLanes));
-  const observe::JsonValue& normal = lanes->array[1];  // Priority::kNormal
+  const JsonValue& normal = lanes->array[1];  // Priority::kNormal
   EXPECT_GE(normal.find("admitted")->num_or(0), 1.0);
   EXPECT_DOUBLE_EQ(normal.find("budget_remaining")->num_or(-1), 1.0);
   EXPECT_EQ(normal.find("budget_status")->str_or(""), "ok");
   ASSERT_NE(normal.find("latency_p95"), nullptr);
-  const observe::JsonValue* recorder = doc->find("flight_recorder");
+  const JsonValue* recorder = doc->find("flight_recorder");
   ASSERT_NE(recorder, nullptr);
   EXPECT_TRUE(recorder->find("armed")->boolean);
   EXPECT_GE(recorder->find("recorded")->num_or(0), 1.0);

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/telemetry/export.hpp"
 #include "common/telemetry/metrics.hpp"
 #include "common/telemetry/trace.hpp"

@@ -27,6 +27,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/json.hpp"
 #include "lint/engine.hpp"
 #include "lint/passes.hpp"
 
@@ -35,29 +36,6 @@ namespace {
 namespace fs = std::filesystem;
 using namespace repro::lint;
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 void print_findings_json(std::ostream& out, const EngineResult& result,
                          bool format_mode) {
   out << "{\n  \"mode\": \"" << (format_mode ? "format" : "rules")
@@ -65,10 +43,11 @@ void print_findings_json(std::ostream& out, const EngineResult& result,
       << ",\n  \"findings\": [";
   for (std::size_t i = 0; i < result.findings.size(); ++i) {
     const Finding& f = result.findings[i];
-    out << (i ? "," : "") << "\n    {\"file\": \"" << json_escape(f.file)
-        << "\", \"line\": " << f.line << ", \"rule\": \"" << f.rule_id
-        << "\", \"name\": \"" << f.rule_name << "\", \"message\": \""
-        << json_escape(f.message) << "\"}";
+    out << (i ? "," : "") << "\n    {\"file\": "
+        << repro::json_escape(f.file) << ", \"line\": " << f.line
+        << ", \"rule\": \"" << f.rule_id << "\", \"name\": \""
+        << f.rule_name << "\", \"message\": "
+        << repro::json_escape(f.message) << "}";
   }
   out << (result.findings.empty() ? "" : "\n  ") << "]\n}\n";
 }

@@ -216,12 +216,8 @@ int socket_selftest(serve::ShardedService& sharded,
     // A malformed payload (bad JSON) must answer a typed bad_request
     // error frame and leave the connection usable.
     std::vector<std::uint8_t> bad;
-    serve::wire::FrameWriter frame(bad, serve::wire::FrameType::kRequest);
-    const char junk[] = "{\"model\": nope}";
-    for (const char c : junk) {
-      if (c != '\0') bad.push_back(static_cast<std::uint8_t>(c));
-    }
-    frame.end();
+    serve::wire::append_frame(bad, serve::wire::FrameType::kRequest,
+                              "{\"model\": nope}");
     client.send_raw(bad.data(), bad.size());
     // Payload errors mint a trace id at decode, so the rejected probe
     // leaves its own (complete) timeline in the flight recorder.

@@ -26,11 +26,10 @@
 #include <vector>
 
 #include "common/env.hpp"
-#include "common/telemetry/export.hpp"
+#include "common/json.hpp"
 #include "serve/observe/inspect.hpp"
 
 using namespace repro;
-using serve::observe::JsonValue;
 
 namespace {
 
@@ -71,7 +70,7 @@ int inspect_chrome_trace(const JsonValue& doc, bool json_mode,
   if (ranked.size() > top) ranked.resize(top);
 
   if (json_mode) {
-    telemetry::JsonWriter json;
+    JsonWriter json;
     json.begin_object();
     json.key("spans");
     json.begin_array();
@@ -222,7 +221,7 @@ int run(int argc, char** argv) {
     return 0;
   }
 
-  const auto doc = serve::observe::parse_json(text);
+  const auto doc = parse_json(text);
   if (doc && doc->is_array()) {
     if (expect_complete) {
       std::fprintf(stderr,
