@@ -63,7 +63,8 @@ echo "== sanitizers: ASan+UBSan, libstdc++ assertions (label: sanitize) =="
 # A second tree with address+undefined instrumentation and checked
 # libstdc++ containers; the `sanitize` label selects the suites cheap
 # enough to run there (socket server, lane concurrency, checkpoint
-# bounds, parallel layer, telemetry). Under -fsanitize=address GCC 12
+# bounds, parallel layer, telemetry, the nn kernels and gradient checks,
+# the determinism lane sweeps). Under -fsanitize=address GCC 12
 # reports -Wmaybe-uninitialized inside libstdc++'s <regex> (repro_lint),
 # so that one warning stays a warning in this tree.
 ASAN_DIR="$BUILD_DIR-asan"
@@ -72,6 +73,16 @@ cmake -B "$ASAN_DIR" -S "$ROOT" -DREPRO_SANITIZE=address,undefined \
 cmake --build "$ASAN_DIR" -j "$JOBS"
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ctest --test-dir "$ASAN_DIR" -L sanitize --output-on-failure
+
+echo "== sanitizers: TSan (label: sanitize) =="
+# The same suites in a -fsanitize=thread tree: the pool, the GEMM row
+# split under the gradchecks and backward references, the lane sweeps,
+# and the lanes sampling one shared model.
+TSAN_DIR="$BUILD_DIR-tsan"
+cmake -B "$TSAN_DIR" -S "$ROOT" -DREPRO_SANITIZE=thread
+cmake --build "$TSAN_DIR" -j "$JOBS"
+TSAN_OPTIONS=halt_on_error=1 \
+  ctest --test-dir "$TSAN_DIR" -L sanitize --output-on-failure
 
 echo "== open-loop replay (label: replay) =="
 ctest --test-dir "$BUILD_DIR" -L replay --output-on-failure

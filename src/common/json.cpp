@@ -1,9 +1,9 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace repro {
 
@@ -247,18 +247,47 @@ struct Parser {
     return out;
   }
 
+  /// Reads ASCII digits; returns how many.
+  std::size_t digits() {
+    const std::size_t from = pos;
+    while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
+    return pos - from;
+  }
+  bool at(char c) const { return pos < text.size() && text[pos] == c; }
+  JsonValue fail() {
+    failed = true;
+    return {};
+  }
+
+  /// RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+  /// The grammar is checked before converting: strtod also takes hex,
+  /// inf, nan, a leading '+' or '.', and reads the locale's decimal
+  /// point. A leading zero ends the number, so "01" leaves a stray "1".
+  /// A value outside double's range is malformed.
   JsonValue parse_number() {
-    JsonValue out;
     skip_ws();
-    const char* start = text.c_str() + pos;
-    char* end = nullptr;
-    out.number = std::strtod(start, &end);
-    if (end == start) {
-      failed = true;
-      return out;
+    const std::size_t start = pos;
+    if (at('-')) ++pos;
+    if (at('0')) {
+      ++pos;
+    } else if (digits() == 0) {
+      return fail();
     }
+    if (at('.')) {
+      ++pos;
+      if (digits() == 0) return fail();
+    }
+    if (at('e') || at('E')) {
+      ++pos;
+      if (at('+') || at('-')) ++pos;
+      if (digits() == 0) return fail();
+    }
+    JsonValue out;
+    const char* last = text.data() + pos;
+    const auto [end, ec] =
+        std::from_chars(text.data() + start, last, out.number);
+    if (ec != std::errc() || end != last) return fail();
     out.type = JsonValue::Type::kNumber;
-    pos += static_cast<std::size_t>(end - start);
     return out;
   }
 

@@ -77,12 +77,15 @@ float PacketAutoencoder::train_step(const nn::Tensor& rows,
   const std::size_t n = rows.dim(0), d = rows.dim(1);
   nn::Tensor grad(rows.shape());
   double loss = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < d; ++j) {
-      const float diff = recon.at2(i, j) - rows.at2(i, j);
-      const float w = weights_[j];
-      loss += static_cast<double>(w) * diff * diff;
-      grad.at2(i, j) = 2.0f * w * diff / static_cast<float>(n * d);
+  {
+    REPRO_SPAN("diffusion.ae.loss");
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < d; ++j) {
+        const float diff = recon.at2(i, j) - rows.at2(i, j);
+        const float w = weights_[j];
+        loss += static_cast<double>(w) * diff * diff;
+        grad.at2(i, j) = 2.0f * w * diff / static_cast<float>(n * d);
+      }
     }
   }
   nn::Tensor g = dec1_.backward(dec_act_.backward(dec2_.backward(grad)));

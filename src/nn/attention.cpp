@@ -115,58 +115,39 @@ Tensor SelfAttention1d::backward(const Tensor& grad_output) {
   Tensor grad_k(k_rows_.shape());
   Tensor grad_v(v_rows_.shape());
   const float scale = 1.0f / std::sqrt(static_cast<float>(channels_));
-  // grad_k/grad_v rows are accumulated across every query row of the
-  // same batch element, so the batch element is the finest race-free
-  // unit here; the serial i-ascending accumulation order is kept.
+  const std::size_t ch = channels_;
+  // One batch element per work item, mirroring the forward: the four
+  // contractions are GEMMs over that element's [L, C] slices, and the
+  // softmax backward is the one scalar pass, in place in dA. No
+  // zero-skip: a == 0 must still propagate 0 * inf = NaN.
   parallel::parallel_for(
-      0, n, parallel::grain_for(l * l * channels_),
+      0, n, parallel::grain_for(l * l * ch),
       [&](std::size_t bb, std::size_t be) {
-        // One scratch row reused across every (batch, query) pair of the
-        // chunk instead of an allocation per query row.
-        TensorArena::Handle dA_buf = TensorArena::scratch().acquire(l);
+        TensorArena::Handle dA_buf = TensorArena::scratch().acquire(l * l);
         float* dA = dA_buf.data();
         for (std::size_t b = bb; b < be; ++b) {
-          const float* qb = q_rows_.data() + b * l * channels_;
-          const float* kb = k_rows_.data() + b * l * channels_;
-          const float* vb = v_rows_.data() + b * l * channels_;
+          const float* qb = q_rows_.data() + b * l * ch;
+          const float* kb = k_rows_.data() + b * l * ch;
+          const float* vb = v_rows_.data() + b * l * ch;
           const float* ab = attn_.data() + b * l * l;
-          float* gqb = grad_q.data() + b * l * channels_;
-          float* gkb = grad_k.data() + b * l * channels_;
-          float* gvb = grad_v.data() + b * l * channels_;
+          const float* gcb = grad_ctx.data() + b * l * ch;
+          kernels::gemm_tn(l, l, ch, ab, gcb, grad_v.data() + b * l * ch);
+          kernels::gemm_nt(l, ch, l, gcb, vb, dA);
+          // dS_ij = A_ij * (dA_ij - sum_k dA_ik A_ik), times the score
+          // scale (S_ij = scale * q_i . k_j).
           for (std::size_t i = 0; i < l; ++i) {
-            const float* gc = grad_ctx.data() + (b * l + i) * channels_;
-            // dA_ij = gc . v_j ; dv_j += A_ij * gc
-            for (std::size_t j = 0; j < l; ++j) {
-              const float a = ab[i * l + j];
-              const float* vrow = vb + j * channels_;
-              float* gvrow = gvb + j * channels_;
-              double d = 0.0;
-              for (std::size_t c = 0; c < channels_; ++c) {
-                d += static_cast<double>(gc[c]) * vrow[c];
-                gvrow[c] += a * gc[c];
-              }
-              dA[j] = static_cast<float>(d);
-            }
-            // Softmax backward: dS_j = A_j * (dA_j - sum_k dA_k A_k).
+            const float* arow = ab + i * l;
+            float* drow = dA + i * l;
             double dot = 0.0;
             for (std::size_t j = 0; j < l; ++j) {
-              dot += static_cast<double>(dA[j]) * ab[i * l + j];
+              dot += static_cast<double>(drow[j]) * arow[j];
             }
             for (std::size_t j = 0; j < l; ++j) {
-              const float dS =
-                  ab[i * l + j] * (dA[j] - static_cast<float>(dot));
-              const float g = dS * scale;
-              // S_ij = scale * q_i . k_j
-              const float* krow = kb + j * channels_;
-              const float* qrow = qb + i * channels_;
-              float* gqrow = gqb + i * channels_;
-              float* gkrow = gkb + j * channels_;
-              for (std::size_t c = 0; c < channels_; ++c) {
-                gqrow[c] += g * krow[c];
-                gkrow[c] += g * qrow[c];
-              }
+              drow[j] = arow[j] * (drow[j] - static_cast<float>(dot)) * scale;
             }
           }
+          kernels::gemm_nn(l, l, ch, dA, kb, grad_q.data() + b * l * ch);
+          kernels::gemm_tn(l, l, ch, dA, qb, grad_k.data() + b * l * ch);
         }
       });
 

@@ -3,13 +3,66 @@
 #include <cstring>
 #include <utility>
 
-#include "common/parallel/parallel_for.hpp"
 #include "common/telemetry/trace.hpp"
 #include "nn/arena.hpp"
 #include "nn/init.hpp"
 #include "nn/kernels/gemm.hpp"
 
 namespace repro::nn {
+namespace {
+
+/// Shape of the im2col lowering. The column panel is [cin*kernel, n*lout]
+/// with one column block of lout per batch element; row (ic*kernel + k)
+/// holds input position t*stride + k - padding for output t, zero where
+/// that position falls in the padding.
+struct Lowering {
+  std::size_t n, cin, lin, kernel, stride, padding, lout;
+
+  std::size_t cols() const { return n * lout; }
+  /// Input position that tap k of output t reads; negative in the padding.
+  std::ptrdiff_t pos(std::size_t t, std::size_t k) const {
+    const std::ptrdiff_t p = static_cast<std::ptrdiff_t>(t * stride + k) -
+                             static_cast<std::ptrdiff_t>(padding);
+    return p < static_cast<std::ptrdiff_t>(lin) ? p : -1;
+  }
+};
+
+/// input [n, cin, lin] -> col [cin*kernel, n*lout].
+void im2col(const Lowering& s, const float* input, float* col) {
+  const std::size_t cols = s.cols();
+  for (std::size_t b = 0; b < s.n; ++b) {
+    for (std::size_t ic = 0; ic < s.cin; ++ic) {
+      const float* irow = input + (b * s.cin + ic) * s.lin;
+      for (std::size_t k = 0; k < s.kernel; ++k) {
+        float* crow = col + (ic * s.kernel + k) * cols + b * s.lout;
+        for (std::size_t t = 0; t < s.lout; ++t) {
+          const std::ptrdiff_t pos = s.pos(t, k);
+          crow[t] = pos >= 0 ? irow[static_cast<std::size_t>(pos)] : 0.0f;
+        }
+      }
+    }
+  }
+}
+
+/// The adjoint of im2col: each column entry is added back to the input
+/// position it was read from (grad_input [n, cin, lin] +=).
+void col2im(const Lowering& s, const float* col, float* grad_input) {
+  const std::size_t cols = s.cols();
+  for (std::size_t b = 0; b < s.n; ++b) {
+    for (std::size_t ic = 0; ic < s.cin; ++ic) {
+      float* girow = grad_input + (b * s.cin + ic) * s.lin;
+      for (std::size_t k = 0; k < s.kernel; ++k) {
+        const float* crow = col + (ic * s.kernel + k) * cols + b * s.lout;
+        for (std::size_t t = 0; t < s.lout; ++t) {
+          const std::ptrdiff_t pos = s.pos(t, k);
+          if (pos >= 0) girow[static_cast<std::size_t>(pos)] += crow[t];
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
 
 Conv1d::Conv1d(std::size_t in_channels, std::size_t out_channels,
                std::size_t kernel, Rng& rng, std::size_t stride,
@@ -30,41 +83,21 @@ Tensor Conv1d::forward(const Tensor& input) const {
     throw std::invalid_argument("Conv1d::forward: bad input " +
                                 input.shape_string());
   }
-  const std::size_t n = input.dim(0), lin = input.dim(2);
-  const std::size_t lout = out_length(lin);
+  const std::size_t lin = input.dim(2);
+  const Lowering s{input.dim(0), cin_, lin, kernel_, stride_, padding_,
+                   out_length(lin)};
+  const std::size_t n = s.n, lout = s.lout, cols = s.cols();
   const std::size_t kc = cin_ * kernel_;
   Tensor out({n, cout_, lout});
   // im2col + GEMM over the WHOLE batch: every batch element's window
-  // matrix is lowered into one [cin*kernel, n*lout] column panel
-  // (zero-padded at the borders, in arena scratch, one column block per
-  // batch element), then a single GEMM computes all output channels for
-  // all batch elements at once. One kernel call instead of n amortizes
-  // the per-call pack/dispatch cost that dominates the network's small
-  // convolutions, and the boundary branch runs once per panel element
-  // instead of inside the O(cout * cin * kernel * lout) loop. Each
-  // output element is still the same ascending-k accumulation, so the
-  // result is bit-identical to the per-batch form.
-  const std::size_t cols = n * lout;
+  // matrix is lowered into one column panel (in arena scratch), then a
+  // single GEMM computes all output channels for all batch elements at
+  // once. One kernel call instead of n amortizes the per-call
+  // pack/dispatch cost that dominates the network's small convolutions.
+  // Each output element is still the same ascending-k accumulation, so
+  // the result is bit-identical to the per-batch form.
   TensorArena::Handle col = TensorArena::scratch().acquire(kc * cols);
-  float* colp = col.data();
-  for (std::size_t b = 0; b < n; ++b) {
-    const float* in_b = input.data() + b * cin_ * lin;
-    for (std::size_t ic = 0; ic < cin_; ++ic) {
-      const float* irow = in_b + ic * lin;
-      for (std::size_t k = 0; k < kernel_; ++k) {
-        float* crow = colp + (ic * kernel_ + k) * cols + b * lout;
-        const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(k) -
-                                   static_cast<std::ptrdiff_t>(padding_);
-        for (std::size_t t = 0; t < lout; ++t) {
-          const std::ptrdiff_t pos =
-              static_cast<std::ptrdiff_t>(t * stride_) + off;
-          crow[t] = (pos >= 0 && pos < static_cast<std::ptrdiff_t>(lin))
-                        ? irow[static_cast<std::size_t>(pos)]
-                        : 0.0f;
-        }
-      }
-    }
-  }
+  im2col(s, input.data(), col.data());
   // C buffer [cout, n*lout]: rows seeded with the bias, GEMM adds the
   // products, then rows scatter back to the [n, cout, lout] layout.
   TensorArena::Handle cbuf = TensorArena::scratch().acquire(cout_ * cols);
@@ -74,7 +107,7 @@ Tensor Conv1d::forward(const Tensor& input) const {
     float* crow = cp + oc * cols;
     for (std::size_t t = 0; t < cols; ++t) crow[t] = bv;
   }
-  kernels::gemm_nn(cout_, kc, cols, weight_.value.data(), colp, cp,
+  kernels::gemm_nn(cout_, kc, cols, weight_.value.data(), col.data(), cp,
                    kernels::Accumulate::kAdd);
   for (std::size_t b = 0; b < n; ++b) {
     for (std::size_t oc = 0; oc < cout_; ++oc) {
@@ -93,77 +126,35 @@ Tensor Conv1d::forward(const Tensor& input) {
 
 Tensor Conv1d::backward(const Tensor& grad_output) {
   REPRO_SPAN("nn.conv1d.backward");
-  const std::size_t n = input_.dim(0), lin = input_.dim(2);
-  const std::size_t lout = out_length(lin);
+  const std::size_t lin = input_.dim(2);
+  const Lowering s{input_.dim(0), cin_, lin, kernel_, stride_, padding_,
+                   out_length(lin)};
+  const std::size_t n = s.n, lout = s.lout, cols = s.cols();
+  const std::size_t kc = cin_ * kernel_;
   grad_output.require_shape({n, cout_, lout}, "Conv1d::backward");
+  // The forward's layout: dY gathered into [cout, n*lout], the input
+  // lowered again into its column panel. The bias gradient sums each
+  // batch element's row in double, as one partial per element.
+  TensorArena::Handle dy = TensorArena::scratch().acquire(cout_ * cols);
+  for (std::size_t oc = 0; oc < cout_; ++oc) {
+    for (std::size_t b = 0; b < n; ++b) {
+      const float* gorow = grad_output.data() + (b * cout_ + oc) * lout;
+      std::memcpy(dy.data() + oc * cols + b * lout, gorow,
+                  lout * sizeof(float));
+      double gb = 0.0;
+      for (std::size_t t = 0; t < lout; ++t) gb += gorow[t];
+      bias_.grad[oc] += static_cast<float>(gb);
+    }
+  }
+  TensorArena::Handle col = TensorArena::scratch().acquire(kc * cols);
+  im2col(s, input_.data(), col.data());
+  // dW += dY·colᵀ; dcol = Wᵀ·dY, scattered back onto the input.
+  kernels::gemm_nt(cout_, cols, kc, dy.data(), col.data(),
+                   weight_.grad.data(), kernels::Accumulate::kAdd);
+  kernels::gemm_tn(cout_, kc, cols, weight_.value.data(), dy.data(),
+                   col.data());
   Tensor grad_input(input_.shape());
-  // Two passes with disjoint write sets. Pass 1: grad_input, one batch
-  // element per chunk item (the serial oc/t/ic/k accumulation order is
-  // preserved within each batch element).
-  const std::size_t pair_ops = lout * cin_ * kernel_;
-  parallel::parallel_for(
-      0, n, parallel::grain_for(cout_ * pair_ops),
-      [&](std::size_t bb, std::size_t be) {
-        for (std::size_t b = bb; b < be; ++b) {
-          for (std::size_t oc = 0; oc < cout_; ++oc) {
-            const float* gorow = grad_output.data() + (b * cout_ + oc) * lout;
-            const float* w = weight_.value.data() + oc * cin_ * kernel_;
-            for (std::size_t t = 0; t < lout; ++t) {
-              // No zero-skip: g == 0 must still propagate 0 * inf = NaN.
-              const float g = gorow[t];
-              const std::ptrdiff_t start =
-                  static_cast<std::ptrdiff_t>(t * stride_) -
-                  static_cast<std::ptrdiff_t>(padding_);
-              for (std::size_t ic = 0; ic < cin_; ++ic) {
-                float* girow = grad_input.data() + (b * cin_ + ic) * lin;
-                const float* wrow = w + ic * kernel_;
-                for (std::size_t k = 0; k < kernel_; ++k) {
-                  const std::ptrdiff_t pos =
-                      start + static_cast<std::ptrdiff_t>(k);
-                  if (pos < 0 || pos >= static_cast<std::ptrdiff_t>(lin)) {
-                    continue;
-                  }
-                  girow[static_cast<std::size_t>(pos)] += g * wrow[k];
-                }
-              }
-            }
-          }
-        }
-      });
-  // Pass 2: weight and bias gradients, one out-channel per chunk item;
-  // batches accumulate in ascending order exactly as the serial loop
-  // did (b outer), so gradients stay bit-identical.
-  parallel::parallel_for(
-      0, cout_, parallel::grain_for(n * pair_ops),
-      [&](std::size_t ob, std::size_t oe) {
-        for (std::size_t oc = ob; oc < oe; ++oc) {
-          float* gw = weight_.grad.data() + oc * cin_ * kernel_;
-          for (std::size_t b = 0; b < n; ++b) {
-            const float* gorow = grad_output.data() + (b * cout_ + oc) * lout;
-            double gb = 0.0;
-            for (std::size_t t = 0; t < lout; ++t) {
-              const float g = gorow[t];
-              gb += g;
-              const std::ptrdiff_t start =
-                  static_cast<std::ptrdiff_t>(t * stride_) -
-                  static_cast<std::ptrdiff_t>(padding_);
-              for (std::size_t ic = 0; ic < cin_; ++ic) {
-                const float* irow = input_.data() + (b * cin_ + ic) * lin;
-                float* gwrow = gw + ic * kernel_;
-                for (std::size_t k = 0; k < kernel_; ++k) {
-                  const std::ptrdiff_t pos =
-                      start + static_cast<std::ptrdiff_t>(k);
-                  if (pos < 0 || pos >= static_cast<std::ptrdiff_t>(lin)) {
-                    continue;
-                  }
-                  gwrow[k] += g * irow[static_cast<std::size_t>(pos)];
-                }
-              }
-            }
-            bias_.grad[oc] += static_cast<float>(gb);
-          }
-        }
-      });
+  col2im(s, col.data(), grad_input.data());
   return grad_input;
 }
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/telemetry/trace.hpp"
+
 namespace repro::nn {
 
 Adam::Adam(std::vector<Parameter*> params)
@@ -18,6 +20,7 @@ Adam::Adam(std::vector<Parameter*> params, Config config)
 }
 
 void Adam::step() {
+  REPRO_SPAN("nn.adam.step");
   ++t_;
   const float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(t_));
   const float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(t_));

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 namespace repro {
@@ -66,6 +67,34 @@ TEST(JsonReader, RejectsMalformedDocuments) {
   EXPECT_FALSE(parse_json(R"(["\q"])").has_value());
   EXPECT_FALSE(parse_json(R"(["\x41"])").has_value());
   EXPECT_FALSE(parse_json("[\"\\").has_value());
+}
+
+TEST(JsonReader, NumbersFollowTheRfc8259Grammar) {
+  const auto number = [](const std::string& text) {
+    const auto doc = parse_json(text);
+    EXPECT_TRUE(doc.has_value()) << text;
+    EXPECT_EQ(doc ? doc->type : JsonValue::Type::kNull,
+              JsonValue::Type::kNumber)
+        << text;
+    return doc ? doc->number : 0.0;
+  };
+  EXPECT_EQ(number("0"), 0.0);
+  EXPECT_TRUE(std::signbit(number("-0")));
+  EXPECT_DOUBLE_EQ(number("1E-3"), 1e-3);
+  EXPECT_DOUBLE_EQ(number("1e+20"), 1e20);
+  EXPECT_DOUBLE_EQ(number("-12.5e2"), -1250.0);
+  EXPECT_DOUBLE_EQ(number(" 0.25 "), 0.25);
+  EXPECT_EQ(number("18446744073709551615"), 18446744073709551615.0);
+
+  // strtod takes all of these; JSON takes none.
+  for (const char* bad :
+       {"0x10", "inf", "-inf", "nan", "NaN", "+1", "1.", ".5", "01", "-01",
+        "-", "1e", "1e+", "1.e5", "--1", "1e400", "0x", "1_000"}) {
+    EXPECT_FALSE(parse_json(bad).has_value()) << bad;
+    EXPECT_FALSE(parse_json(std::string("{\"count\":") + bad + "}")
+                     .has_value())
+        << bad;
+  }
 }
 
 }  // namespace

@@ -574,6 +574,32 @@ TEST(SocketServerLoop, DeeplyNestedPayloadIsBadRequestNotACrash) {
   server.stop();
 }
 
+TEST(SocketServerLoop, NonJsonNumberIsBadRequest) {
+  // strtod would read 0x10 as 16 and serve the request; it is not a
+  // JSON number, so the server answers bad_request and the connection
+  // lives.
+  ModelRegistry registry;  // empty: a well-formed request is unknown_model
+  ShardedConfig cfg;
+  cfg.service.batch.max_wait = 0.0;
+  ShardedService sharded(registry, cfg);
+  SocketServer server(sharded, ServerConfig{});
+  server.start();
+
+  BlockingClient client(server.port());
+  const auto frame = raw_frame(FrameType::kRequest, R"({"count":0x10})");
+  client.send_raw(frame.data(), frame.size());
+  const auto reply = client.read_reply(30.0);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_FALSE(reply->ok());
+  EXPECT_EQ(reply->error->error, "bad_request");
+
+  const auto next = client.call(sample_request(), -1.0, 10.0);
+  ASSERT_TRUE(next.has_value());
+  ASSERT_FALSE(next->ok());
+  EXPECT_EQ(next->error->error, "unknown_model");
+  server.stop();
+}
+
 TEST(SocketServerLoop, PendingReplyDoesNotSpinTheLoop) {
   // While a reply is pending the loop must sleep in poll() until the
   // shard fulfils it, not spin: over a pending stretch of >= 50 ms it
