@@ -15,6 +15,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -122,6 +123,15 @@ inline void append_scale(JsonWriter& json, const Scale& scale) {
   json.end_object();
 }
 
+/// True when `path`, resolved against the working directory, has a
+/// `reports` directory component: where the committed baselines live.
+inline bool under_reports_dir(const std::string& path) {
+  for (const auto& part : std::filesystem::absolute(path).parent_path()) {
+    if (part == "reports") return true;
+  }
+  return false;
+}
+
 /// Machine-readable bench report: named stage wall times plus headline
 /// result numbers, written as BENCH_<name>.json next to the stdout
 /// report (and BENCH_<name>.trace.json with the Chrome trace when
@@ -155,12 +165,21 @@ class BenchReport {
   }
 
   /// Idempotent; writes BENCH_<name>.json (+ .trace.json if telemetry
-  /// is enabled).
+  /// is enabled). A REPRO_CHECKS=ON build writes nothing under
+  /// `reports/`: the committed baselines come from checks-off builds.
   void finish() {
     if (finished_) return;
     finished_ = true;
     close_stage();
     const double total = seconds_since(start_);
+    const std::string path = telemetry::report_path("BENCH_" + name_ + ".json");
+    if (contracts_enabled() && under_reports_dir(path)) {
+      std::fprintf(stderr,
+                   "bench report: refusing to write %s from a "
+                   "REPRO_CHECKS=ON build\n",
+                   path.c_str());
+      return;
+    }
 
     JsonWriter json;
     json.begin_object();
@@ -206,7 +225,6 @@ class BenchReport {
     json.end_array();
     json.end_object();
 
-    const std::string path = telemetry::report_path("BENCH_" + name_ + ".json");
     if (telemetry::write_text_file(path, std::move(json).str())) {
       std::printf("bench report: %s\n", path.c_str());
     } else {

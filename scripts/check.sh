@@ -62,9 +62,9 @@ SOCKET_DUMP="$BUILD_DIR/check_socket_flightrec.json"
 echo "== sanitizers: ASan+UBSan, libstdc++ assertions (label: sanitize) =="
 # A second tree with address+undefined instrumentation and checked
 # libstdc++ containers; the `sanitize` label selects the suites cheap
-# enough to run there (socket server, lane concurrency, checkpoint
-# bounds, parallel layer, telemetry, the nn kernels and gradient checks,
-# the determinism lane sweeps). Under -fsanitize=address GCC 12
+# enough to run there (socket server, the service and its sharded lanes,
+# lane concurrency, checkpoint bounds, parallel layer, telemetry, the nn
+# kernels and gradient checks, the determinism lane sweeps). Under -fsanitize=address GCC 12
 # reports -Wmaybe-uninitialized inside libstdc++'s <regex> (repro_lint),
 # so that one warning stays a warning in this tree.
 ASAN_DIR="$BUILD_DIR-asan"
@@ -77,12 +77,40 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
 echo "== sanitizers: TSan (label: sanitize) =="
 # The same suites in a -fsanitize=thread tree: the pool, the GEMM row
 # split under the gradchecks and backward references, the lane sweeps,
-# and the lanes sampling one shared model.
+# the lanes sampling one shared model, and the service's background
+# workers and socket server.
 TSAN_DIR="$BUILD_DIR-tsan"
 cmake -B "$TSAN_DIR" -S "$ROOT" -DREPRO_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS"
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "$TSAN_DIR" -L sanitize --output-on-failure
+
+echo "== e2ebench under ASan+UBSan (replay-chain, wire-cold) =="
+# The benchmark package built with address+undefined instrumentation,
+# replay-chain run for 2 s and wire-cold for 8 s. Wire-cold re-checks 8
+# of its requests (about 1 in 8) against the library, and under ASan one
+# 48-request round takes about 2.4 s, so a 2 s run answers too few. A
+# workload fails on a sanitizer report (non-zero exit) or when its
+# result line (the last line of stdout) does not say "correct": true.
+E2E_ASAN_DIR="$BUILD_DIR-e2e-asan"
+cmake -B "$E2E_ASAN_DIR" -S "$ROOT/e2ebench" \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer"
+cmake --build "$E2E_ASAN_DIR" --target e2e_bench -j "$JOBS"
+for RUN in replay-chain:2 wire-cold:8; do
+  WORKLOAD=${RUN%:*}
+  E2E_OUT="$E2E_ASAN_DIR/$WORKLOAD.out"
+  if ! UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+      "$E2E_ASAN_DIR/e2e_bench" --workload "$WORKLOAD" --seconds "${RUN#*:}" \
+      > "$E2E_OUT"; then
+    echo "check.sh: e2e_bench $WORKLOAD failed under ASan+UBSan" >&2
+    exit 1
+  fi
+  tail -n 1 "$E2E_OUT" | grep -q '"correct": true' || {
+    echo "check.sh: e2e_bench $WORKLOAD result is not correct:" >&2
+    tail -n 1 "$E2E_OUT" >&2
+    exit 1
+  }
+done
 
 echo "== open-loop replay (label: replay) =="
 ctest --test-dir "$BUILD_DIR" -L replay --output-on-failure

@@ -22,22 +22,30 @@ Adam::Adam(std::vector<Parameter*> params, Config config)
 void Adam::step() {
   REPRO_SPAN("nn.adam.step");
   ++t_;
-  const float bc1 = 1.0f - std::pow(config_.beta1, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(config_.beta2, static_cast<float>(t_));
+  const float beta1 = config_.beta1;
+  const float beta2 = config_.beta2;
+  const float bc1 = 1.0f - std::pow(beta1, static_cast<float>(t_));
+  const float bc2 = 1.0f - std::pow(beta2, static_cast<float>(t_));
+  // Both bias corrections folded into one per-step scalar:
+  //   lr * (m/bc1) / (sqrt(v/bc2) + eps)
+  //     == step * m / (sqrt(v) + eps * sqrt(bc2)),
+  // so the element loop has no division by bc1 or bc2.
+  const float root_bc2 = std::sqrt(bc2);
+  const float step_size = config_.lr * root_bc2 / bc1;
+  const float eps = config_.eps * root_bc2;
+  const float decay = config_.lr * config_.weight_decay;
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Parameter& p = *params_[i];
     if (!p.trainable) continue;
-    Tensor& m = m_[i];
-    Tensor& v = v_[i];
-    for (std::size_t j = 0; j < p.value.size(); ++j) {
-      const float g = p.grad[j];
-      m[j] = config_.beta1 * m[j] + (1.0f - config_.beta1) * g;
-      v[j] = config_.beta2 * v[j] + (1.0f - config_.beta2) * g * g;
-      const float mhat = m[j] / bc1;
-      const float vhat = v[j] / bc2;
-      p.value[j] -= config_.lr *
-                    (mhat / (std::sqrt(vhat) + config_.eps) +
-                     config_.weight_decay * p.value[j]);
+    float* __restrict w = p.value.data();
+    const float* __restrict g = p.grad.data();
+    float* __restrict m = m_[i].data();
+    float* __restrict v = v_[i].data();
+    const std::size_t n = p.value.size();
+    for (std::size_t j = 0; j < n; ++j) {
+      m[j] = beta1 * m[j] + (1.0f - beta1) * g[j];
+      v[j] = beta2 * v[j] + (1.0f - beta2) * g[j] * g[j];
+      w[j] -= step_size * m[j] / (std::sqrt(v[j]) + eps) + decay * w[j];
     }
   }
 }

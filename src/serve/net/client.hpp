@@ -1,7 +1,7 @@
 // BlockingClient: a small synchronous client for the socket front-end.
 //
-// Tools (repro_client), benches (serve_load's open-loop socket stage)
-// and the conformance tests all talk to SocketServer through this one
+// Tools (repro_client), the end-to-end benchmark's wire workloads and
+// the conformance tests all talk to SocketServer through this one
 // implementation, so the encode/decode path under test is the same one
 // users run. The client supports pipelining: send() any number of
 // request frames, then read replies as they arrive — replies carry the

@@ -1,6 +1,7 @@
 // Regression tests for REPRO_BENCH_DIR: bench reports and telemetry
 // exports must land where the environment points, and default to the
-// working directory when unset.
+// working directory when unset; a checks-on build never writes under
+// reports/.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -106,6 +107,31 @@ TEST(BenchReport, RecordsRuntimeProvenance) {
       std::string("\"checks\":") + (contracts_enabled() ? "true" : "false");
   EXPECT_NE(json.find(checks), std::string::npos);
   std::filesystem::remove_all(dir);
+}
+
+TEST(BenchReportPath, ReportsDirectoryComponentIsDetected) {
+  EXPECT_TRUE(bench::under_reports_dir("reports/threads1/BENCH_x.json"));
+  EXPECT_TRUE(bench::under_reports_dir("/tmp/a/reports/BENCH_x.json"));
+  EXPECT_FALSE(bench::under_reports_dir("/tmp/myreports/BENCH_x.json"));
+  EXPECT_FALSE(bench::under_reports_dir("/tmp/a/reports.d/BENCH_x.json"));
+}
+
+// The committed baselines under reports/ come from REPRO_CHECKS=OFF
+// builds: a checks-on build must refuse to write there, and a
+// checks-off build writes as usual.
+TEST(BenchReport, ChecksOnBuildWritesNothingUnderReports) {
+  const auto root =
+      std::filesystem::temp_directory_path() / "repro_bench_refuse";
+  const auto dir = root / "reports" / "threads1";
+  std::filesystem::remove_all(root);
+  ScopedBenchDir env(dir.c_str());
+  {
+    bench::BenchReport report("refuse_probe", "checks-on refusal");
+    report.finish();
+  }
+  EXPECT_EQ(std::filesystem::exists(dir / "BENCH_refuse_probe.json"),
+            !contracts_enabled());
+  std::filesystem::remove_all(root);
 }
 
 TEST(BenchReportPath, WrittenReportLandsInBenchDir) {

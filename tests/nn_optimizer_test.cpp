@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace repro::nn {
 namespace {
@@ -68,6 +69,57 @@ TEST(Adam, ResetStateClearsMoments) {
   opt.step();
   opt2.step();
   EXPECT_NEAR(w.value[0], w2.value[0], 1e-6);
+}
+
+TEST(Adam, StepMatchesTheTextbookUpdate) {
+  // Kingma & Ba's update with decoupled weight decay, written out
+  // literally in double:
+  //   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g^2
+  //   w -= lr * ((m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps) + wd*w)
+  // eps is far above its default so that a mistake in how it meets the
+  // bias corrections shows in the result.
+  Adam::Config cfg;
+  cfg.lr = 0.01f;
+  cfg.eps = 1e-3f;
+  cfg.weight_decay = 0.1f;
+  constexpr std::size_t kN = 7;
+  Parameter live("live", Tensor::zeros({kN}));
+  Parameter frozen("frozen", Tensor::full({3}, 2.0f));
+  frozen.trainable = false;
+  for (std::size_t j = 0; j < kN; ++j) {
+    live.value[j] = 0.5f - 0.25f * static_cast<float>(j);
+  }
+  Adam opt({&frozen, &live}, cfg);
+
+  std::vector<double> w(kN), m(kN, 0.0), v(kN, 0.0);
+  for (std::size_t j = 0; j < kN; ++j) w[j] = live.value[j];
+  const double b1 = cfg.beta1;
+  const double b2 = cfg.beta2;
+  for (int t = 1; t <= 3; ++t) {
+    for (std::size_t j = 0; j < kN; ++j) {
+      // Mixed signs and magnitudes, different on every step.
+      const float phase = static_cast<float>(3 * t) + static_cast<float>(j);
+      live.grad[j] = 0.05f * static_cast<float>(j + 1) * std::sin(phase);
+    }
+    frozen.grad.fill(1.0f);
+    opt.step();
+    for (std::size_t j = 0; j < kN; ++j) {
+      const double g = live.grad[j];
+      m[j] = b1 * m[j] + (1.0 - b1) * g;
+      v[j] = b2 * v[j] + (1.0 - b2) * g * g;
+      const double mhat = m[j] / (1.0 - std::pow(b1, t));
+      const double vhat = v[j] / (1.0 - std::pow(b2, t));
+      w[j] -= static_cast<double>(cfg.lr) *
+              (mhat / (std::sqrt(vhat) + static_cast<double>(cfg.eps)) +
+               static_cast<double>(cfg.weight_decay) * w[j]);
+    }
+    live.zero_grad();
+  }
+  for (std::size_t j = 0; j < kN; ++j) {
+    EXPECT_LE(std::abs(live.value[j] - w[j]), 1e-5 * std::abs(w[j]))
+        << "element " << j << ": " << live.value[j] << " vs " << w[j];
+  }
+  for (std::size_t j = 0; j < 3; ++j) EXPECT_EQ(frozen.value[j], 2.0f);
 }
 
 TEST(Sgd, SimpleStep) {

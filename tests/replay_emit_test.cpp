@@ -1,7 +1,8 @@
 // Open-loop emitter tests: event-queue tie-breaks, arrival-process
-// determinism, virtual pacing, source behavior (including the
-// backpressure -> underrun conversion of the served source), sinks, and
-// the served-vs-library bit-identity contract for paced emission.
+// determinism, virtual pacing and sustained rate, the real-clock pacer,
+// source behavior (including the backpressure -> underrun conversion of
+// the served source), sinks, and the served-vs-library bit-identity
+// contract for paced emission.
 #include "replay/emit/emitter.hpp"
 
 #include <gtest/gtest.h>
@@ -142,6 +143,21 @@ EmitConfig fast_emit_config(std::uint64_t total_flows) {
   return config;
 }
 
+/// Rate-test schedule: 20 kpps of exponential arrivals. Recorded
+/// intra-flow gaps dominate a session's span (a 10-packet streaming flow
+/// covers ~12 s), so sustained pps is edge-limited unless flow timelines
+/// are compressed below the arrival spacing; time_scale 1e-4 puts a
+/// flow's whole lifetime well under one inter-arrival gap.
+EmitConfig rate_emit_config(std::uint64_t total_flows, double target_pps) {
+  EmitConfig config;
+  config.target_pps = target_pps;
+  config.total_flows = total_flows;
+  config.arrival = Arrival::kExponential;
+  config.time_scale = 1e-4;
+  config.seed = 17;
+  return config;
+}
+
 TEST(VectorFlowSource, ExhaustsUnlessLooping) {
   std::vector<net::Flow> flows = session_flows(2, 6, 3);
   VectorFlowSource once(flows);
@@ -188,6 +204,39 @@ TEST(OpenLoopEmitter, StarvedSourceBecomesUnderrunsNotStalls) {
   EXPECT_EQ(report.flows_scheduled, 12u);
   EXPECT_EQ(report.flows_emitted, 8u);
   EXPECT_EQ(report.underruns, 4u);
+}
+
+TEST(OpenLoopEmitter, SustainsTargetRateOnTheVirtualClock) {
+  const std::vector<net::Flow> flows = session_flows(256, 10, 17);
+  VectorFlowSource source(flows);
+  VirtualPacer pacer;
+  NullSink sink;
+  OpenLoopEmitter emitter(rate_emit_config(256, 20000.0), source, pacer,
+                          sink);
+  const EmitReport report = emitter.run();
+
+  EXPECT_TRUE(report.conserved());
+  EXPECT_EQ(report.flows_emitted, 256u);
+  EXPECT_EQ(report.underruns, 0u);
+  EXPECT_NEAR(report.achieved_pps, 20000.0, 0.3 * 20000.0);
+}
+
+TEST(OpenLoopEmitter, RealtimePacerConservesEvents) {
+  // The real-clock pacer's sleep/spin path, kept small (about 200
+  // packets at 2 kpps, ~100 ms of wall time). No timing assertion: a
+  // loaded host may run late, but it may not lose an event.
+  const std::vector<net::Flow> flows = session_flows(20, 10, 17);
+  VectorFlowSource source(flows);
+  const std::unique_ptr<Pacer> pacer = make_realtime_pacer();
+  NullSink sink;
+  OpenLoopEmitter emitter(rate_emit_config(20, 2000.0), source, *pacer,
+                          sink);
+  const EmitReport report = emitter.run();
+
+  EXPECT_TRUE(report.conserved());
+  EXPECT_EQ(report.flows_emitted, 20u);
+  EXPECT_EQ(report.underruns, 0u);
+  EXPECT_EQ(sink.packets(), report.packets_emitted);
 }
 
 TEST(OpenLoopEmitter, TimeScaleCompressesIntraFlowGaps) {
@@ -255,7 +304,7 @@ TEST(PcapSink, EmittedPcapParsesBackInEmissionOrder) {
 }
 
 TEST(ChainSink, StrictConntrackAcceptsEmittedSessionsAtRate) {
-  const std::vector<net::Flow> flows = session_flows(16, 8, 19);
+  const std::vector<net::Flow> flows = session_flows(256, 10, 19);
   VectorFlowSource source(flows);
   VirtualPacer pacer;
   ChainSink sink;
@@ -266,7 +315,8 @@ TEST(ChainSink, StrictConntrackAcceptsEmittedSessionsAtRate) {
   sink.engine().add_function(std::move(conntrack));
   sink.engine().add_function(std::make_unique<SourceNat>(0xC0A80001u));
 
-  OpenLoopEmitter emitter(fast_emit_config(16), source, pacer, sink);
+  OpenLoopEmitter emitter(rate_emit_config(256, 20000.0), source, pacer,
+                          sink);
   const EmitReport report = emitter.run();
 
   EXPECT_TRUE(report.conserved());
@@ -274,7 +324,7 @@ TEST(ChainSink, StrictConntrackAcceptsEmittedSessionsAtRate) {
   EXPECT_EQ(chain.input_packets, report.packets_emitted);
   EXPECT_EQ(chain.delivered_packets, chain.input_packets);
   EXPECT_DOUBLE_EQ(tracker->stats().tcp_acceptance(), 1.0);
-  EXPECT_EQ(tracker->stats().connections_tracked, 16u);
+  EXPECT_EQ(tracker->stats().connections_tracked, 256u);
 }
 
 // ---------------------------------------------------------------------------

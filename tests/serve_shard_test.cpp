@@ -4,7 +4,8 @@
 // both the DDIM and DDPM sampler paths — always equal to the direct
 // library call. Plus the sharding invariants the contract depends on:
 // stable (model, class) routing, cache hits identical to cold misses,
-// and registry hot-swap during in-flight sharded batches.
+// registry hot-swap during in-flight sharded batches, and one reply per
+// frame under an open-loop socket burst into small queues.
 #include "serve/shard.hpp"
 
 #include <gtest/gtest.h>
@@ -203,6 +204,67 @@ TEST_F(ShardTest, OverSocketLanesProduceBitIdenticalBytes) {
           << "request " << k << " diverged over the socket at " << lanes
           << " lanes";
     }
+    server.stop();
+    sharded.stop();
+  }
+}
+
+TEST_F(ShardTest, OpenLoopSocketBurstAnswersEveryFrameOnce) {
+  // Open-loop overload over the wire: every connection pipelines its
+  // share of the burst before reading anything, into queues small
+  // enough that a burst on one lane can overflow. Every frame must get
+  // exactly one reply on its own connection, typed ok or queue_full:
+  // nothing dropped, nothing duplicated, nothing hung.
+  constexpr std::size_t kRequests = 12;
+  for (const std::size_t conns : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{8}}) {
+    ShardedConfig cfg = sharded_config(2);
+    cfg.service.queue_capacity = kRequests / 2 + 1;
+    cfg.service.batch.max_batch_flows = 4;
+    ShardedService sharded(registry_, cfg);
+    wire::SocketServer server(sharded, wire::ServerConfig{});
+    sharded.start();
+    server.start();
+
+    std::vector<std::unique_ptr<wire::BlockingClient>> clients;
+    for (std::size_t c = 0; c < conns; ++c) {
+      clients.push_back(std::make_unique<wire::BlockingClient>(server.port()));
+    }
+    std::vector<std::size_t> sent(conns, 0);
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      GenerateRequest r;
+      r.class_id = static_cast<int>(i % 2);
+      r.seed = 9000 + conns * 100 + i;
+      r.ddim_steps = 4;
+      clients[i % conns]->send(r);
+      ++sent[i % conns];
+    }
+
+    // A fresh service mints trace ids 1..n at frame decode, and both
+    // reply kinds carry theirs: the ids seen must be exactly 1..n.
+    std::vector<bool> answered(kRequests + 1, false);
+    std::size_t ok = 0;
+    for (std::size_t c = 0; c < conns; ++c) {
+      for (std::size_t k = 0; k < sent[c]; ++k) {
+        const auto reply = clients[c]->read_reply(60.0);
+        ASSERT_TRUE(reply.has_value())
+            << "conns=" << conns << ": frame left unanswered";
+        std::uint64_t id = 0;
+        if (reply->ok()) {
+          EXPECT_EQ(reply->response->status, "ok");
+          ++ok;
+          id = reply->response->request_id;
+        } else {
+          EXPECT_EQ(reply->error->error, "queue_full");
+          id = reply->error->request_id;
+        }
+        ASSERT_GE(id, 1u);
+        ASSERT_LE(id, kRequests);
+        EXPECT_FALSE(answered[id]) << "duplicate reply for id " << id;
+        answered[id] = true;
+      }
+    }
+    EXPECT_GE(ok, 1u) << "conns=" << conns;
     server.stop();
     sharded.stop();
   }

@@ -1,14 +1,9 @@
 // repro_replay — open-loop replay CLI over src/replay/emit: schedules
 // flows with a configurable arrival process toward a target aggregate
 // pps, paces them in virtual or real time, and lands packets in a
-// null / pcap / network-function-chain sink.
-//
-//   repro_replay --selftest
-//       Fixed-seed virtual-time gate (the `replay` ctest label / CI
-//       entry): same-seed runs must produce byte-identical pcaps, the
-//       event-conservation invariant must hold (with and without
-//       underruns), and a NAT -> strict-conntrack chain must accept
-//       every emitted TCP packet at rate. Exits nonzero on any miss.
+// null / pcap / network-function-chain sink. The emitter's invariants
+// (byte-identical same-seed pcaps, event conservation, strict-conntrack
+// acceptance at rate) are gated by tests/replay_emit_test.cpp.
 //
 //   repro_replay [--flows N] [--packets N] [--pps X] [--arrival KIND]
 //                [--seed S] [--time-scale X] [--duration SECS]
@@ -20,10 +15,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -44,7 +37,6 @@ using replay::emit::EmitReport;
 namespace {
 
 struct Options {
-  bool selftest = false;
   bool real_time = false;
   std::size_t flows = 64;
   std::size_t packets = 12;
@@ -95,97 +87,6 @@ void print_report(const EmitReport& report) {
       report.jitter_p50, report.jitter_p95, report.jitter_p99,
       report.lateness_p50, report.lateness_p95, report.lateness_p99,
       report.conserved() ? "yes" : "NO");
-}
-
-/// One virtual-time run of `flows` into a pcap buffer; returns the
-/// bytes + report.
-std::pair<std::string, EmitReport> pcap_run(const std::vector<net::Flow>& flows,
-                                            const EmitConfig& config) {
-  replay::emit::VectorFlowSource source(flows);
-  replay::emit::VirtualPacer pacer;
-  std::ostringstream bytes;
-  replay::emit::PcapSink sink(bytes);
-  replay::emit::OpenLoopEmitter emitter(config, source, pacer, sink);
-  EmitReport report = emitter.run();
-  return {bytes.str(), report};
-}
-
-int selftest() {
-  int failures = 0;
-  const auto fail = [&failures](const char* what) {
-    std::printf("FAIL: %s\n", what);
-    ++failures;
-  };
-
-  const std::vector<net::Flow> flows = make_flows(48, 10, 42);
-  EmitConfig config;
-  config.target_pps = 20000.0;
-  config.total_flows = 48;
-  config.arrival = Arrival::kExponential;
-  config.seed = 7;
-
-  // 1. Determinism: same seed, same flows => byte-identical pcap and
-  //    identical accounting.
-  const auto [bytes_a, report_a] = pcap_run(flows, config);
-  const auto [bytes_b, report_b] = pcap_run(flows, config);
-  if (bytes_a.empty() || bytes_a != bytes_b) {
-    fail("same-seed virtual-time runs are not byte-identical");
-  }
-  if (!report_a.conserved()) fail("run A violates event conservation");
-  if (report_a.underruns != 0) fail("fully-stocked source underran");
-  if (report_a.flows_emitted != 48) fail("run A did not emit all flows");
-
-  // 2. A different seed must change the exponential schedule (sanity
-  //    that determinism above is not vacuous).
-  EmitConfig reseeded = config;
-  reseeded.seed = 8;
-  const auto [bytes_c, report_c] = pcap_run(flows, reseeded);
-  if (bytes_c == bytes_a) fail("reseeded run produced identical bytes");
-  if (!report_c.conserved()) fail("reseeded run violates conservation");
-
-  // 3. Underrun path: schedule more arrivals than the source holds;
-  //    wire time must keep moving and conservation must still hold.
-  EmitConfig starved = config;
-  starved.total_flows = 60;
-  const auto [bytes_d, report_d] = pcap_run(flows, starved);
-  (void)bytes_d;
-  if (report_d.underruns != 12) fail("expected 12 underruns when starved");
-  if (!report_d.conserved()) fail("starved run violates conservation");
-
-  // 4. Chain sink at rate: NAT -> strict conntrack must accept every
-  //    packet of well-formed generated TCP sessions.
-  {
-    replay::emit::VectorFlowSource source(flows);
-    replay::emit::VirtualPacer pacer;
-    replay::emit::ChainSink sink;
-    // LAN-side middlebox ordering: the strict firewall sees the
-    // recorded (consistent) 5-tuples, then the NAT masquerades
-    // outbound sources on egress. NAT-first would break the reply
-    // direction of a recorded trace: replies are already addressed to
-    // the private client, so conntrack would see two connections.
-    auto conntrack = std::make_unique<replay::ConntrackFunction>();
-    const auto* tracker = conntrack.get();
-    sink.engine().add_function(std::move(conntrack));
-    sink.engine().add_function(std::make_unique<replay::SourceNat>(0xC0A80001u));
-    replay::emit::OpenLoopEmitter emitter(config, source, pacer, sink);
-    const EmitReport report = emitter.run();
-    if (!report.conserved()) fail("chain run violates conservation");
-    const auto& chain = sink.report();
-    if (chain.input_packets != report.packets_emitted) {
-      fail("chain saw a different packet count than the emitter sent");
-    }
-    if (chain.delivered_packets != chain.input_packets) {
-      fail("strict chain dropped packets of well-formed sessions");
-    }
-    if (tracker->stats().tcp_acceptance() != 1.0) {
-      fail("conntrack acceptance below 1.0 at rate");
-    }
-  }
-
-  std::printf("repro_replay selftest: %s (%d failure%s)\n",
-              failures == 0 ? "PASS" : "FAIL", failures,
-              failures == 1 ? "" : "s");
-  return failures == 0 ? 0 : 1;
 }
 
 diffusion::PipelineConfig toy_config() {
@@ -268,7 +169,11 @@ int run(const Options& opt) {
     sink = std::make_unique<replay::emit::PcapSink>(pcap_out);
   } else if (opt.sink == "chain") {
     auto chain = std::make_unique<replay::emit::ChainSink>();
-    // Firewall before NAT (LAN-side ordering); see selftest for why.
+    // LAN-side middlebox ordering: the strict firewall sees the
+    // recorded (consistent) 5-tuples, then the NAT masquerades
+    // outbound sources on egress. NAT-first would break the reply
+    // direction of a recorded trace: replies are already addressed to
+    // the private client, so conntrack would see two connections.
     auto conntrack = std::make_unique<replay::ConntrackFunction>();
     tracker = conntrack.get();
     chain->engine().add_function(std::move(conntrack));
@@ -316,9 +221,7 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--selftest") {
-      opt.selftest = true;
-    } else if (arg == "--real-time") {
+    if (arg == "--real-time") {
       opt.real_time = true;
     } else if (arg == "--flows") {
       opt.flows = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
@@ -353,14 +256,13 @@ int main(int argc, char** argv) {
       opt.out = next();
     } else {
       std::fprintf(stderr,
-                   "usage: repro_replay [--selftest] [--flows N] [--packets N]"
-                   " [--pps X] [--arrival fixed|exp|pareto] [--seed S]"
+                   "usage: repro_replay [--flows N] [--packets N] [--pps X]"
+                   " [--arrival fixed|exp|pareto] [--seed S]"
                    " [--time-scale X] [--duration SECS]"
                    " [--sink null|pcap|chain] [--out FILE] [--real-time]"
                    " [--source flowgen|served]\n");
       return arg == "--help" ? 0 : 2;
     }
   }
-  if (opt.selftest) return selftest();
   return run(opt);
 }
