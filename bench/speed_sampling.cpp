@@ -158,7 +158,8 @@ void BM_StepLatency(benchmark::State& state) {
   auto& pipeline = shared_pipeline();
   const diffusion::UNet1d& unet = pipeline.unet();
   const auto& cfg = pipeline.config();
-  const diffusion::NoiseSchedule schedule(cfg.timesteps, cfg.schedule);
+  const diffusion::NoiseSchedule schedule(cfg.timesteps,
+                                         diffusion::kPipelineSchedule);
   const std::vector<int> class_ids(1, 0);
   telemetry::Histogram hist(
       telemetry::Histogram::exponential_bounds(1e-2, 1e4, 28));  // ms

@@ -36,6 +36,8 @@ mkdir -p "$ROOT/reports"
   --graph-dot "$ROOT/reports/include_graph.dot" src > /dev/null
 
 echo "== serving layer (label: serve) =="
+# Includes the flight recorder gate: served_client_inspect_chain runs
+# repro_served -> repro_client -> repro_trace_inspect --expect-complete.
 ctest --test-dir "$BUILD_DIR" -L serve --output-on-failure
 
 echo "== socket front-end (label: serve_net) =="
@@ -46,18 +48,6 @@ echo "== lane determinism, repeated (ShardTest x20) =="
 # shared model state shows up here as a flaky byte mismatch or crash.
 ctest --test-dir "$BUILD_DIR" -R ShardTest --repeat until-fail:20 \
   --output-on-failure
-
-echo "== flight recorder gate (selftest -> dump -> inspect) =="
-FLIGHTREC_DUMP="$BUILD_DIR/check_flightrec.json"
-"$BUILD_DIR/tools/repro_served" --selftest --requests 12 --steps 4 \
-  --dump-flightrec "$FLIGHTREC_DUMP"
-"$BUILD_DIR/tools/repro_trace_inspect" --expect-complete "$FLIGHTREC_DUMP"
-
-echo "== socket flight recorder gate (2 lanes, over TCP) =="
-SOCKET_DUMP="$BUILD_DIR/check_socket_flightrec.json"
-"$BUILD_DIR/tools/repro_served" --socket-selftest --requests 10 --steps 4 \
-  --lanes 2 --dump-flightrec "$SOCKET_DUMP"
-"$BUILD_DIR/tools/repro_trace_inspect" --expect-complete "$SOCKET_DUMP"
 
 echo "== sanitizers: ASan+UBSan, libstdc++ assertions (label: sanitize) =="
 # A second tree with address+undefined instrumentation and checked

@@ -75,23 +75,6 @@ std::string metrics_json(const MetricsSnapshot& snapshot) {
   return std::move(json).str();
 }
 
-std::string telemetry_json() {
-  JsonWriter json;
-  json.begin_object();
-  json.key("enabled");
-  json.value(enabled());
-  json.key("metrics");
-  append_metrics(json, Registry::instance().snapshot());
-  json.key("spans");
-  json.begin_array();
-  for (const auto& child : profile_snapshot().children) {
-    append_span(json, child);
-  }
-  json.end_array();
-  json.end_object();
-  return std::move(json).str();
-}
-
 bool write_text_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;

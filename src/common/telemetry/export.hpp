@@ -22,10 +22,6 @@ void append_span(JsonWriter& json, const SpanReport& span);
 /// The registry snapshot alone, as a JSON document.
 std::string metrics_json(const MetricsSnapshot& snapshot);
 
-/// Full telemetry state: {"enabled":...,"metrics":{...},"spans":[...]}
-/// where "spans" holds the top-level children of the profile tree.
-std::string telemetry_json();
-
 /// Writes `content` to `path`, returning false on I/O failure.
 bool write_text_file(const std::string& path, const std::string& content);
 

@@ -189,22 +189,6 @@ void finalize(SpanReport& node) {
   node.self_seconds = std::max(node.total_seconds - child_total, 0.0);
 }
 
-void append_text(const SpanReport& node, std::size_t depth,
-                 std::string& out) {
-  std::string label(depth * 2, ' ');
-  label += node.name;
-  if (label.size() < 52) label.resize(52, ' ');
-  char buf[128];
-  std::snprintf(buf, sizeof buf, " %9llu %11.3f %11.3f\n",
-                static_cast<unsigned long long>(node.calls),
-                node.total_seconds * 1e3, node.self_seconds * 1e3);
-  out += label;
-  out += buf;
-  for (const auto& child : node.children) {
-    append_text(child, depth + 1, out);
-  }
-}
-
 }  // namespace
 
 std::size_t SpanReport::node_count() const noexcept {
@@ -229,22 +213,6 @@ SpanReport profile_snapshot() {
   finalize(root);
   root.self_seconds = 0.0;
   return root;
-}
-
-std::string profile_text_report() {
-  const SpanReport root = profile_snapshot();
-  std::string out = "telemetry profile (wall time, merged across threads)\n";
-  std::string header = "span";
-  header.resize(52, ' ');
-  out += header + "     calls    total_ms     self_ms\n";
-  if (root.children.empty()) {
-    out += "  (no spans recorded; set REPRO_TELEMETRY=1)\n";
-    return out;
-  }
-  for (const auto& child : root.children) {
-    append_text(child, 0, out);
-  }
-  return out;
 }
 
 std::string chrome_trace_json() {

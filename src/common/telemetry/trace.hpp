@@ -6,10 +6,10 @@
 // while disabled the constructor is a single atomic load — no locks, no
 // allocation, no clock read.
 //
-// The aggregated tree is exported three ways:
-//   * profile_text_report()  — indented table for terminals,
-//   * chrome_trace_json()    — trace_event JSON for chrome://tracing or
-//                              https://ui.perfetto.dev,
+// The aggregated tree is exported two ways:
+//   * chrome_trace_json()    — trace_event JSON for chrome://tracing,
+//                              https://ui.perfetto.dev or
+//                              tools/repro_trace_inspect,
 //   * profile_snapshot()     — structured tree for the JSON exporter.
 //
 // Span names must have static storage duration (string literals).
@@ -94,9 +94,6 @@ class SpanTimer {
 /// Merged profile tree; the returned root is synthetic ("<root>") with
 /// one child per top-level span name.
 SpanReport profile_snapshot();
-
-/// Human-readable indented tree (calls, total ms, self ms, % of parent).
-std::string profile_text_report();
 
 /// Chrome trace_event JSON (array-of-slices form). Events are capped per
 /// thread (REPRO_TRACE_EVENTS, default 262144); drops are counted in the

@@ -19,6 +19,11 @@
 namespace repro::diffusion {
 namespace {
 
+/// Probability that a training example's prompt is replaced by the null
+/// prompt, which trains the unconditional branch classifier-free
+/// guidance needs.
+constexpr float kCfgDropout = 0.1f;
+
 /// Tiles a [1, C, L] hint to [N, C, L].
 nn::Tensor tile_hint(const nn::Tensor& hint, std::size_t n) {
   const std::size_t c = hint.dim(1), l = hint.dim(2);
@@ -57,7 +62,7 @@ TraceDiffusion::TraceDiffusion(PipelineConfig config,
     : config_(std::move(config)),
       prompts_(std::move(class_names)),
       rng_(config_.seed),
-      schedule_(config_.timesteps, config_.schedule) {
+      schedule_(config_.timesteps, kPipelineSchedule) {
   if (config_.packets % 4 != 0) {
     throw std::invalid_argument("TraceDiffusion: packets must be divisible by 4");
   }
@@ -273,7 +278,6 @@ float TraceDiffusion::train_diffusion_epochs(
       nn::Tensor x0({count, c, l});
       std::vector<int> class_ids(count);
       std::vector<float> timesteps(count);
-      nn::Tensor noise({count, c, l});
       nn::Tensor xt({count, c, l});
       const std::size_t hc = config_.unet.hint_channels;
       nn::Tensor hint({count, hc, l});
@@ -282,7 +286,7 @@ float TraceDiffusion::train_diffusion_epochs(
         std::copy(e.latent.data(), e.latent.data() + c * l,
                   x0.data() + i * c * l);
         int cls = e.label;
-        if (!with_control_hints && rng_.uniform() < config_.cfg_dropout) {
+        if (!with_control_hints && rng_.uniform() < kCfgDropout) {
           cls = prompts_.null_id();  // CFG: train the unconditional branch
         }
         class_ids[i] = cls;
@@ -293,7 +297,6 @@ float TraceDiffusion::train_diffusion_epochs(
         const float sb = schedule_.sqrt_one_minus_alpha_bar(t);
         for (std::size_t j = 0; j < c * l; ++j) {
           const float eps = static_cast<float>(rng_.gaussian());
-          noise[i * c * l + j] = eps;
           xt[i * c * l + j] = sa * x0[i * c * l + j] + sb * eps;
         }
         if (with_control_hints) {
@@ -312,20 +315,18 @@ float TraceDiffusion::train_diffusion_epochs(
       } else {
         pred = unet_->forward(xt, timesteps, class_ids);
       }
-      nn::Tensor target;
-      if (config_.parameterization ==
-          PipelineConfig::Parameterization::kX0) {
-        // EDM-style skip: the network learns F = x0 - sqrt(abar_t) x_t.
-        target = x0;
-        for (std::size_t i = 0; i < count; ++i) {
-          const float sa = schedule_.sqrt_alpha_bar(
-              static_cast<std::size_t>(timesteps[i]));
-          for (std::size_t j = 0; j < c * l; ++j) {
-            target[i * c * l + j] -= sa * xt[i * c * l + j];
-          }
+      // x0 parameterization through an EDM-style skip (Karras et al.
+      // 2022): the network learns F = x0 - sqrt(abar_t) x_t, the
+      // residual, which is exactly zero in the low-noise limit. A small
+      // model cannot otherwise represent the identity there (learning it
+      // through a deep conv stack is the hard part).
+      nn::Tensor target = x0;
+      for (std::size_t i = 0; i < count; ++i) {
+        const float sa = schedule_.sqrt_alpha_bar(
+            static_cast<std::size_t>(timesteps[i]));
+        for (std::size_t j = 0; j < c * l; ++j) {
+          target[i * c * l + j] -= sa * xt[i * c * l + j];
         }
-      } else {
-        target = noise;
       }
       nn::Tensor grad;
       const float loss = nn::mse_loss(pred, target, grad);
@@ -390,7 +391,12 @@ float TraceDiffusion::fit_lora(const flowgen::Dataset& data,
 namespace {
 
 /// Rescales each sample of a [N, C, L] batch to the target standard
-/// deviation (about its own mean).
+/// deviation (about its own mean). MSE-trained denoisers shrink their
+/// output toward the conditional mean; on quantized bit data the lost
+/// amplitude pushes marginal field bits (DSCP, option words) across the
+/// decoder's thresholds, so every generated latent is rescaled to the
+/// class template's standard deviation (cf. the guidance-rescale trick
+/// of Lin et al. 2023).
 void renormalize_batch(nn::Tensor& x, float target_std) {
   const std::size_t n = x.dim(0);
   const std::size_t stride = x.size() / n;
@@ -495,15 +501,13 @@ EpsFn TraceDiffusion::guided_eps_fn(int class_id, std::size_t count,
         out[i] = uncond[i] + g * (cond[i] - uncond[i]);
       }
     }
-    if (config_.parameterization == PipelineConfig::Parameterization::kX0) {
-      // x0_pred = sa * x_t + F(x_t) (skip), then convert for the
-      // eps-consuming samplers: eps = (x_t - sa * x0_pred) / sb.
-      const float sa = schedule_.sqrt_alpha_bar(t);
-      const float sb = schedule_.sqrt_one_minus_alpha_bar(t);
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        const float x0_pred = sa * x[i] + out[i];
-        out[i] = (x[i] - sa * x0_pred) / sb;
-      }
+    // x0_pred = sa * x_t + F(x_t) (skip), then convert for the
+    // eps-consuming samplers: eps = (x_t - sa * x0_pred) / sb.
+    const float sa = schedule_.sqrt_alpha_bar(t);
+    const float sb = schedule_.sqrt_one_minus_alpha_bar(t);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const float x0_pred = sa * x[i] + out[i];
+      out[i] = (x[i] - sa * x0_pred) / sb;
     }
     return out;
   };
@@ -566,14 +570,14 @@ nn::Tensor TraceDiffusion::sample_latents(int class_id, std::size_t count,
       break;
     case SamplerKind::kDdim:
       out = ddim_sample_from(eps_fn, schedule_, std::move(start.x), start.t0,
-                             steps, opts.eta, rngs);
+                             steps, /*eta=*/0.0f, rngs);
       break;
     case SamplerKind::kDistilled:
       out = distilled_sample_from(eps_fn, schedule_, std::move(start.x),
                                   find_distilled(class_id, start.t0, steps));
       break;
   }
-  if (opts.renormalize_latents && start.target_std > 1e-6f) {
+  if (start.target_std > 1e-6f) {
     renormalize_batch(out, start.target_std);
   }
   return out;
@@ -768,7 +772,7 @@ net::Flow TraceDiffusion::deblur(const net::Flow& corrupted,
   EpsFn eps_fn = guided_eps_fn(class_id, /*count=*/1, opts);
 
   nn::Tensor restored = ddim_inpaint(eps_fn, schedule_, known, mask,
-                                     opts.ddim_steps, opts.eta, rng_);
+                                     opts.ddim_steps, /*eta=*/0.0f, rng_);
   const nprint::Matrix matrix = std::move(
       decode_latents(std::move(restored), class_id, opts.constraint).front());
   // Row-preserving reassembly: observed slots take the original packet

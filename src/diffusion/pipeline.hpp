@@ -28,6 +28,9 @@
 
 namespace repro::diffusion {
 
+/// The pipeline's noise schedule.
+inline constexpr ScheduleKind kPipelineSchedule = ScheduleKind::kCosine;
+
 struct PipelineConfig {
   /// Flow image height (packets per flow); must be divisible by 4.
   /// The paper renders up to 1024 rows; the CPU default is smaller.
@@ -35,19 +38,8 @@ struct PipelineConfig {
 
   AutoencoderConfig autoencoder;  // latent_dim feeds unet.in_channels
   UNetConfig unet;
+  /// Length of the cosine noise schedule (kPipelineSchedule).
   std::size_t timesteps = 100;
-  ScheduleKind schedule = ScheduleKind::kCosine;
-
-  /// Network parameterization. kEpsilon predicts the added noise (Ho et
-  /// al.'s default). kX0 predicts the clean latent through an EDM-style
-  /// skip (Karras et al. 2022): x0_pred = sqrt(abar_t) * x_t + F(x_t),
-  /// so the network only learns the residual — exactly zero in the
-  /// low-noise limit, which a small model cannot otherwise represent
-  /// (learning the identity through a deep conv stack is the hard
-  /// part). Markedly more sample-efficient for structured data at this
-  /// scale; the pipeline's default.
-  enum class Parameterization { kEpsilon, kX0 };
-  Parameterization parameterization = Parameterization::kX0;
 
   // Training hyper-parameters.
   std::size_t ae_epochs = 8;
@@ -58,7 +50,6 @@ struct PipelineConfig {
   std::size_t diffusion_epochs = 30;
   std::size_t diffusion_batch = 8;
   float diffusion_lr = 2e-3f;
-  float cfg_dropout = 0.1f;  // prompt-drop probability for CFG training
   float grad_clip = 1.0f;
 
   bool train_control = true;
@@ -85,8 +76,7 @@ std::uint64_t fork_flow_seed(std::uint64_t seed,
 struct GenerateOptions {
   std::size_t count = 1;
   SamplerKind sampler = SamplerKind::kDdim;
-  std::size_t ddim_steps = 20;
-  float eta = 0.0f;
+  std::size_t ddim_steps = 20;  // DDIM runs deterministically (eta 0)
   float guidance_scale = 2.0f;  // 1.0 disables classifier-free guidance
   bool use_control = true;      // ControlNet hints during sampling
   ConstraintMode constraint = ConstraintMode::kProjected;
@@ -97,14 +87,6 @@ struct GenerateOptions {
   /// only projects protocol usage; see bench/replay_validity for the
   /// ablation.
   bool stateful_tcp_repair = false;
-
-  /// MSE-trained denoisers systematically shrink their output toward the
-  /// conditional mean; on quantized bit data the lost amplitude pushes
-  /// marginal field bits (DSCP, option words) across the decoder's
-  /// thresholds. When set, each generated latent is rescaled to the
-  /// class template's standard deviation (cf. the guidance-rescale trick
-  /// of Lin et al. 2023).
-  bool renormalize_latents = true;
 
   /// One-shot image guidance (SDEdit-style): generation starts from the
   /// class template latent noised to `template_strength` of the schedule
@@ -277,8 +259,7 @@ class TraceDiffusion {
                                const std::vector<nn::Parameter*>& params,
                                bool with_control_hints);
   /// Where sampling starts: x_{t0} for every sample, the start
-  /// timestep, and the standard deviation the result is renormalized to
-  /// (renormalize_latents).
+  /// timestep, and the standard deviation the result is renormalized to.
   struct SampleStart {
     nn::Tensor x;
     std::size_t t0 = 0;

@@ -1,5 +1,5 @@
 // Blocked, register-tiled GEMM kernels — the single compute core every
-// matmul-shaped hot path (tensor matmul/matmul_bt/matmul_at, Linear,
+// matmul-shaped hot path (tensor matmul, Linear,
 // LoRA, Conv1d-as-im2col, attention scores/context) routes through.
 //
 // Design (see DESIGN.md "Inference performance"):

@@ -135,26 +135,4 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor matmul_bt(const Tensor& a, const Tensor& b) {
-  if (a.rank() != 2 || b.rank() != 2 || a.dim(1) != b.dim(1)) {
-    throw std::invalid_argument("matmul_bt: incompatible shapes " +
-                                a.shape_string() + " x " + b.shape_string());
-  }
-  const std::size_t n = a.dim(0), m = a.dim(1), k = b.dim(0);
-  Tensor c({n, k});
-  kernels::gemm_nt(n, m, k, a.data(), b.data(), c.data());
-  return c;
-}
-
-Tensor matmul_at(const Tensor& a, const Tensor& b) {
-  if (a.rank() != 2 || b.rank() != 2 || a.dim(0) != b.dim(0)) {
-    throw std::invalid_argument("matmul_at: incompatible shapes " +
-                                a.shape_string() + " x " + b.shape_string());
-  }
-  const std::size_t n = a.dim(0), k = a.dim(1), m = b.dim(1);
-  Tensor c({k, m});
-  kernels::gemm_tn(n, k, m, a.data(), b.data(), c.data());
-  return c;
-}
-
 }  // namespace repro::nn

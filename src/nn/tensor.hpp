@@ -95,11 +95,8 @@ Tensor sub(const Tensor& a, const Tensor& b);
 /// y = a * b element-wise (same shape).
 Tensor mul(const Tensor& a, const Tensor& b);
 
-/// C[N,M] = A[N,K] @ B[K,M].
+/// C[N,M] = A[N,K] @ B[K,M]. The transposed shapes are the kernels'
+/// gemm_nt / gemm_tn (nn/kernels/gemm.hpp).
 Tensor matmul(const Tensor& a, const Tensor& b);
-/// C[N,K] = A[N,M] @ B[K,M]^T.
-Tensor matmul_bt(const Tensor& a, const Tensor& b);
-/// C[K,M] = A[N,K]^T @ B[N,M].
-Tensor matmul_at(const Tensor& a, const Tensor& b);
 
 }  // namespace repro::nn

@@ -16,7 +16,7 @@
 //
 // dump_json() serializes the surviving window as
 //   {"capacity":N,"recorded":N,"overwritten":N,"events":[...]}
-// — the format tools/repro_trace_inspect and the check.sh gate consume.
+// — the format observe/inspect.hpp and tools/repro_trace_inspect read.
 #pragma once
 
 #include <atomic>

@@ -167,6 +167,31 @@ InspectReport reconstruct(const std::vector<FlightEvent>& events) {
   return report;
 }
 
+std::optional<std::string> incomplete_reason(const InspectReport& report) {
+  char buf[160];
+  if (report.requests.empty()) return std::string("dump holds no requests");
+  if (report.complete != report.requests.size()) {
+    std::snprintf(buf, sizeof buf, "%zu/%zu timelines incomplete",
+                  report.requests.size() - report.complete,
+                  report.requests.size());
+    return std::string(buf);
+  }
+  for (const ConnectionSummary& conn : report.connections) {
+    if (conn.opened && conn.closed &&
+        conn.frames_decoded == conn.frames_sent) {
+      continue;
+    }
+    std::snprintf(buf, sizeof buf,
+                  "conn %llu unbalanced (%zu frames in / %zu out, "
+                  "opened=%d closed=%d)",
+                  static_cast<unsigned long long>(conn.conn_id),
+                  conn.frames_decoded, conn.frames_sent, conn.opened ? 1 : 0,
+                  conn.closed ? 1 : 0);
+    return std::string(buf);
+  }
+  return std::nullopt;
+}
+
 std::string report_text(const InspectReport& report) {
   std::string out;
   char buf[160];

@@ -7,9 +7,9 @@
 //   * per-batch composition — which requests each batched model call
 //     served and how many flows it carried.
 //
-// tools/repro_trace_inspect is a thin CLI over these functions; the
-// repro_served selftest and the check.sh flight-recorder gate call them
-// directly to verify that a dump covers every request end-to-end.
+// tools/repro_trace_inspect is a thin CLI over these functions, and the
+// serving tests call them directly to verify that a dump covers every
+// request end-to-end (incomplete_reason).
 #pragma once
 
 #include <cstdint>
@@ -83,6 +83,13 @@ struct InspectReport {
 };
 
 InspectReport reconstruct(const std::vector<FlightEvent>& events);
+
+/// The rule for a complete dump: it holds at least one request, every
+/// request timeline is complete, and every connection was opened and
+/// closed and sent as many frames as it decoded (each decoded request
+/// frame answered by exactly one reply). Returns nullopt when the report
+/// is complete, else the first violation in words.
+std::optional<std::string> incomplete_reason(const InspectReport& report);
 
 /// Human-readable rendering of the report (one line per event, grouped
 /// by request, then the batch table).

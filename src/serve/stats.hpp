@@ -10,7 +10,7 @@
 // serving counters the acceptance tests assert on are recorded
 // unconditionally — a production service's observability is not an
 // opt-in debug feature. Export still goes through the ordinary registry
-// snapshot (telemetry_json / BenchReport), and health_json() reads the
+// snapshot (metrics_json / BenchReport), and health_json() reads the
 // per-lane instruments for its p50/p95/p99 block.
 #pragma once
 

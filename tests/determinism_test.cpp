@@ -27,6 +27,7 @@
 #include "flowgen/tcp_session.hpp"
 #include "ml/features.hpp"
 #include "ml/random_forest.hpp"
+#include "nn/kernels/gemm.hpp"
 #include "nn/tensor.hpp"
 #include "nprint/codec.hpp"
 #include "replay/emit/emitter.hpp"
@@ -182,9 +183,11 @@ TEST(Determinism, GemmKernelOutputs) {
     }
     std::uint64_t h = hash_tensor(nn::matmul(a, b));
     hash_bytes(h, &kFnvPrime, 1);  // separator
-    const nn::Tensor c_bt = nn::matmul_bt(a, bt);  // [m, n]
+    nn::Tensor c_bt({m, n});
+    nn::kernels::gemm_nt(m, k, n, a.data(), bt.data(), c_bt.data());
     hash_bytes(h, c_bt.data(), c_bt.size() * sizeof(float));
-    const nn::Tensor c_at = nn::matmul_at(a, a2);  // [k, n]
+    nn::Tensor c_at({k, n});
+    nn::kernels::gemm_tn(m, k, n, a.data(), a2.data(), c_at.data());
     hash_bytes(h, c_at.data(), c_at.size() * sizeof(float));
     return h;
   });

@@ -201,22 +201,6 @@ TEST_F(PipelineTest, BadClassIdRejected) {
   EXPECT_THROW(pipeline_->class_template(9), std::out_of_range);
 }
 
-TEST(Pipeline, EpsilonParameterizationAlsoWorks) {
-  PipelineConfig cfg = tiny_config();
-  cfg.parameterization = PipelineConfig::Parameterization::kEpsilon;
-  cfg.train_control = false;
-  TraceDiffusion pipeline(cfg, {"netflix", "teams"});
-  pipeline.fit(tiny_dataset(3));
-  GenerateOptions opts;
-  opts.count = 2;
-  opts.ddim_steps = 5;
-  const auto flows = pipeline.generate(0, opts);
-  EXPECT_EQ(flows.size(), 2u);
-  for (const auto& flow : flows) {
-    EXPECT_EQ(flow.label, 0);
-  }
-}
-
 TEST_F(PipelineTest, DeblurRestoresMissingPackets) {
   // Drop the middle packets of a real flow; deblurring must return the
   // observed packets verbatim and synthesize replacements for the rest.
@@ -333,18 +317,16 @@ TEST_F(PipelineTest, SeededGenerationIsReproducible) {
 TEST_F(PipelineTest, SeededGenerationIsBatchInvariant) {
   // The serving determinism contract: a flow's bits depend only on its
   // own flow seed, never on which other flows shared the batched model
-  // call. For every sampler (DDIM with and without per-step noise, DDPM)
+  // call. For both samplers (DDIM, and DDPM with its per-step noise)
   // and both starts (the SDEdit template start and pure noise), generate
   // three seeds in one [3] call and compare each against its own [1]
   // call.
   struct Sampler {
     const char* name;
     SamplerKind kind;
-    float eta;
   };
-  const Sampler samplers[] = {{"ddim eta=0", SamplerKind::kDdim, 0.0f},
-                              {"ddim eta=0.5", SamplerKind::kDdim, 0.5f},
-                              {"ddpm", SamplerKind::kDdpm, 0.0f}};
+  const Sampler samplers[] = {{"ddim", SamplerKind::kDdim},
+                              {"ddpm", SamplerKind::kDdpm}};
   const std::vector<std::uint64_t> seeds{fork_flow_seed(7, 0),
                                          fork_flow_seed(1234, 5),
                                          fork_flow_seed(7, 1)};
@@ -354,7 +336,6 @@ TEST_F(PipelineTest, SeededGenerationIsBatchInvariant) {
                    (strength < 1.0f ? ", template start" : ", pure noise"));
       GenerateOptions opts;
       opts.sampler = sampler.kind;
-      opts.eta = sampler.eta;
       opts.ddim_steps = 4;
       opts.template_strength = strength;
       const auto batched = pipeline_->generate_with_flow_seeds(0, opts, seeds);

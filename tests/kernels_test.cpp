@@ -1,9 +1,8 @@
-// GEMM kernel layer (src/nn/kernels/gemm.hpp): every shape path the
-// tensor ops route through — gemm_nn (matmul), gemm_nt (matmul_bt),
-// gemm_tn (matmul_at) — checked against a naive double-accumulation
-// reference over odd sizes that exercise the kMr row tails and kNr
-// panel tails, plus the strided-view, accumulate-mode, IEEE-special
-// (0 * inf must stay NaN) and arena-reuse contracts.
+// GEMM kernel layer (src/nn/kernels/gemm.hpp): every shape adapter —
+// gemm_nn (tensor matmul), gemm_nt and gemm_tn — checked against a naive
+// double-accumulation reference over odd sizes that exercise the kMr row
+// tails and kNr panel tails, plus the strided-view, accumulate-mode,
+// IEEE-special (0 * inf must stay NaN) and arena-reuse contracts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -157,7 +156,7 @@ TEST(Kernels, DegenerateDimensions) {
                    kernels::Accumulate::kOverwrite);
 }
 
-// Regression for the zero-skip bug: the old matmul/matmul_at skipped
+// Regression for the zero-skip bug: the old matmul and A^T-B product skipped
 // a == 0.0f products, silently dropping 0 * inf = NaN and turning
 // exploded activations into plausible-looking numbers.
 TEST(Kernels, ZeroTimesInfPropagatesNaN) {
@@ -180,8 +179,9 @@ TEST(Kernels, ZeroTimesInfPropagatesNaN) {
     Tensor b({2, 1});
     b[0] = inf;
     b[1] = 1.0f;
-    const Tensor c = matmul_at(a, b);  // [1, 1] = sum over the 2 rows
-    EXPECT_TRUE(std::isnan(c[0])) << "matmul_at dropped 0 * inf";
+    float c = 0.0f;  // [1, 1] = sum over the 2 rows of a^T b
+    kernels::gemm_tn(2, 1, 1, a.data(), b.data(), &c);
+    EXPECT_TRUE(std::isnan(c)) << "gemm_tn dropped 0 * inf";
   }
   {
     Tensor a({1, 2});
@@ -190,8 +190,9 @@ TEST(Kernels, ZeroTimesInfPropagatesNaN) {
     Tensor b({1, 2});
     b[0] = qnan;
     b[1] = 1.0f;
-    const Tensor c = matmul_bt(a, b);
-    EXPECT_TRUE(std::isnan(c[0])) << "matmul_bt dropped 0 * NaN";
+    float c = 0.0f;  // [1, 1] = a b^T
+    kernels::gemm_nt(1, 2, 1, a.data(), b.data(), &c);
+    EXPECT_TRUE(std::isnan(c)) << "gemm_nt dropped 0 * NaN";
   }
 }
 
@@ -199,8 +200,6 @@ TEST(Kernels, MatmulShapeMismatchStillThrows) {
   Tensor a({2, 3});
   Tensor b({4, 5});
   EXPECT_THROW(matmul(a, b), std::invalid_argument);
-  EXPECT_THROW(matmul_bt(a, b), std::invalid_argument);
-  EXPECT_THROW(matmul_at(a, b), std::invalid_argument);
   Tensor one({3});
   EXPECT_THROW(matmul(one, b), std::invalid_argument);
 }

@@ -302,7 +302,7 @@ INSTANTIATE_TEST_SUITE_P(AllTrees, LintArchitecture,
 // ---------------------------------------------------------------------------
 // Engine determinism: the --json stream over the whole fixture corpus
 // must be byte-identical at every lane count (per-chunk buffers merged
-// in path order; timings are deliberately not part of the stream).
+// in path order).
 
 TEST(LintEngine, JsonOutputIsByteIdenticalAcrossLaneCounts) {
   const std::vector<std::string> args = {"--json", "--include-fixtures",

@@ -4,21 +4,26 @@
 // both the DDIM and DDPM sampler paths — always equal to the direct
 // library call. Plus the sharding invariants the contract depends on:
 // stable (model, class) routing, cache hits identical to cold misses,
-// registry hot-swap during in-flight sharded batches, and one reply per
-// frame under an open-loop socket burst into small queues.
+// registry hot-swap during in-flight sharded batches, one reply per
+// frame under an open-loop socket burst into small queues, and a merged
+// flight dump that covers every wire request.
 #include "serve/shard.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <numeric>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/telemetry/metrics.hpp"
 #include "flowgen/generator.hpp"
 #include "serve/net/client.hpp"
 #include "serve/net/server.hpp"
+#include "serve/observe/inspect.hpp"
 
 namespace repro::serve {
 namespace {
@@ -268,6 +273,88 @@ TEST_F(ShardTest, OpenLoopSocketBurstAnswersEveryFrameOnce) {
     server.stop();
     sharded.stop();
   }
+}
+
+TEST_F(ShardTest, MergedSocketDumpCoversEveryWireRequest) {
+  // The merged flight dump (frontend connection events + both shards)
+  // of a 2-lane service over TCP. Connection 1 makes synchronous calls,
+  // sends a malformed payload the protocol layer answers with a typed
+  // bad_request, and is then served again; connection 2 pipelines a
+  // burst. Every wire request, the rejected one included, must have a
+  // complete timeline, and both connections must be closed and
+  // frame-balanced (observe::incomplete_reason, the rule
+  // repro_trace_inspect --expect-complete applies).
+  const auto requests = request_set();
+  const auto reference = library_hashes(requests);
+  ShardedConfig cfg = sharded_config(2);
+  cfg.service.flightrec_force = true;
+  ShardedService sharded(registry_, cfg);
+  wire::SocketServer server(sharded, wire::ServerConfig{});
+  sharded.start();
+  server.start();
+  telemetry::Counter& bytes_out =
+      telemetry::Registry::instance().counter("serve.net.bytes_out");
+  const std::uint64_t bytes_out_before = bytes_out.value();
+
+  const std::size_t sync_requests = requests.size() / 2;
+  std::size_t sent = 0;
+  {
+    wire::BlockingClient client(server.port());
+    for (std::size_t k = 0; k < sync_requests; ++k) {
+      const auto reply = client.call(requests[k]);
+      ++sent;
+      ASSERT_TRUE(reply.has_value() && reply->ok()) << "request " << k;
+      EXPECT_EQ(wire::hash_wire_flows(reply->response->flows), reference[k]);
+    }
+    std::vector<std::uint8_t> bad;
+    wire::append_frame(bad, wire::FrameType::kRequest, "{\"model\": nope}");
+    client.send_raw(bad.data(), bad.size());
+    ++sent;
+    const auto rejected = client.read_reply(30.0);
+    ASSERT_TRUE(rejected.has_value());
+    ASSERT_FALSE(rejected->ok());
+    EXPECT_EQ(rejected->error->error, "bad_request");
+    const auto after = client.call(requests[0]);
+    ++sent;
+    ASSERT_TRUE(after.has_value() && after->ok());
+    EXPECT_EQ(wire::hash_wire_flows(after->response->flows), reference[0]);
+  }
+  {
+    wire::BlockingClient client(server.port());
+    for (std::size_t k = sync_requests; k < requests.size(); ++k) {
+      client.send(requests[k]);
+      ++sent;
+    }
+    for (std::size_t k = sync_requests; k < requests.size(); ++k) {
+      const auto reply = client.read_reply(60.0);
+      ASSERT_TRUE(reply.has_value() && reply->ok()) << "pipelined " << k;
+    }
+  }
+  // Both clients are closed; let the loop reap them so the dump has
+  // their conn_closed events.
+  for (int spin = 0; spin < 500 && server.open_connections() > 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  server.stop();
+  sharded.stop();
+  EXPECT_GT(bytes_out.value(), bytes_out_before);
+
+  const auto dump = observe::parse_flight_dump(sharded.flight_dump_json());
+  ASSERT_TRUE(dump.has_value());
+  EXPECT_EQ(dump->overwritten, 0u);
+  const observe::InspectReport report = observe::reconstruct(dump->events);
+  const auto why = observe::incomplete_reason(report);
+  EXPECT_FALSE(why.has_value()) << why.value_or("");
+  EXPECT_EQ(report.requests.size(), sent);
+  EXPECT_EQ(report.connections.size(), 2u);
+  // The rejected request never reached a shard: it is the one wire
+  // timeline without a batch.
+  std::size_t unbatched = 0;
+  for (const observe::RequestTimeline& timeline : report.requests) {
+    EXPECT_NE(timeline.conn_id, 0u) << "request " << timeline.request_id;
+    if (timeline.batch_id == 0) ++unbatched;
+  }
+  EXPECT_EQ(unbatched, 1u);
 }
 
 TEST_F(ShardTest, CacheHitServesBytesIdenticalToColdMiss) {

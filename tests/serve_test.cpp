@@ -13,12 +13,16 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/fnv.hpp"
 #include "common/json.hpp"
 #include "common/parallel/thread_pool.hpp"
 #include "common/telemetry/metrics.hpp"
+#include "common/telemetry/trace.hpp"
 #include "flowgen/generator.hpp"
+#include "nn/arena.hpp"
 #include "serve/observe/inspect.hpp"
 
 namespace repro::serve {
@@ -69,6 +73,53 @@ std::uint64_t hash_flows(const std::vector<net::Flow>& flows) {
     }
   }
   return h;
+}
+
+/// Calls of span `name` anywhere in the merged profile tree.
+std::uint64_t span_calls(const telemetry::SpanReport& node,
+                         const std::string& name) {
+  std::uint64_t calls = node.name == name ? node.calls : 0;
+  for (const auto& child : node.children) calls += span_calls(child, name);
+  return calls;
+}
+
+/// The telemetry names e2ebench's layer ledger reads
+/// (e2ebench/src/ledger.cpp) must all be recorded by a traced served
+/// request: a renamed span or metric silently turns its ledger row into
+/// 0. `before` is the registry snapshot taken before the traced work,
+/// and the profile was reset then; `pooled` says the work ran on a
+/// multi-lane pool (only then does parallel.tasks count).
+void expect_ledger_names_recorded(const telemetry::MetricsSnapshot& before,
+                                  bool pooled) {
+  const telemetry::SpanReport profile = telemetry::profile_snapshot();
+  for (const char* name :
+       {"serve.submit", "serve.cache.get", "diffusion.sample.ddim_step",
+        "diffusion.generate.decode", "nn.linear.forward",
+        "nn.conv1d.forward", "nn.attention.forward", "nprint.decode_flow"}) {
+    EXPECT_GT(span_calls(profile, name), 0u) << "span " << name;
+  }
+  const telemetry::MetricsSnapshot after =
+      telemetry::Registry::instance().snapshot();
+  std::vector<const char*> counters = {"diffusion.sample.eps_evals",
+                                       "nn.arena.alloc"};
+  if (pooled) counters.push_back("parallel.tasks");
+  for (const char* name : counters) {
+    const auto was = before.counters.find(name);
+    const auto now = after.counters.find(name);
+    ASSERT_NE(now, after.counters.end()) << "counter " << name;
+    EXPECT_GT(now->second,
+              was == before.counters.end() ? 0u : was->second)
+        << "counter " << name;
+  }
+  for (const char* name : {"serve.batch.size", "serve.latency.total_seconds",
+                           "serve.latency.queue_wait_seconds"}) {
+    const auto was = before.histograms.find(name);
+    const auto now = after.histograms.find(name);
+    ASSERT_NE(now, after.histograms.end()) << "histogram " << name;
+    EXPECT_GT(now->second.count,
+              was == before.histograms.end() ? 0u : was->second.count)
+        << "histogram " << name;
+  }
 }
 
 /// Shared fitted pipeline: training is the expensive part, so it runs
@@ -511,7 +562,8 @@ TEST_F(ServeTest, BackgroundWorkerServesSubmissions) {
 TEST_F(ServeTest, TracingOnOrOffNeverChangesServedBits) {
   // The observability contract: arming the flight recorder and span
   // tracing must be bit-transparent — the generated flows are identical
-  // whether telemetry is on or off, at 1 and 4 parallel lanes.
+  // whether telemetry is on or off, at 1 and 4 parallel lanes. The traced
+  // leg also records every name the e2ebench ledger reads.
   const bool telemetry_was_on = telemetry::enabled();
   const std::size_t original_lanes = parallel::thread_count();
   for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
@@ -519,8 +571,17 @@ TEST_F(ServeTest, TracingOnOrOffNeverChangesServedBits) {
     std::uint64_t hashes[2] = {0, 0};
     for (const bool traced : {false, true}) {
       telemetry::set_enabled(traced);
+      telemetry::MetricsSnapshot before;
+      if (traced) {
+        telemetry::reset_profile();
+        // An empty free list makes the traced requests lease fresh
+        // scratch buffers, so nn.arena.alloc counts.
+        nn::TensorArena::scratch().trim();
+        before = telemetry::Registry::instance().snapshot();
+      }
+      // The cache stays on (a fresh service's cache misses, so the bits
+      // still come from the model) because its lookup is a ledger span.
       ServiceConfig cfg = fast_config();
-      cfg.cache_capacity = 0;
       cfg.flightrec_force = traced;
       TraceService service(registry_, cfg);
       auto a = service.submit(request(0, 42, 2));
@@ -536,6 +597,8 @@ TEST_F(ServeTest, TracingOnOrOffNeverChangesServedBits) {
       hashes[traced ? 1 : 0] = h;
       // Traced run actually recorded a timeline; untraced recorded none.
       EXPECT_EQ(service.flight_recorder().recorded() > 0, traced);
+      EXPECT_FALSE(ra.cache_hit || rb.cache_hit);
+      if (traced) expect_ledger_names_recorded(before, lanes > 1);
     }
     EXPECT_EQ(hashes[0], hashes[1])
         << "tracing changed the served bits at " << lanes << " lanes";

@@ -216,16 +216,6 @@ TEST_F(TelemetryTest, ResetProfileClearsTree) {
   EXPECT_TRUE(profile_snapshot().children.empty());
 }
 
-TEST_F(TelemetryTest, TextReportListsSpans) {
-  {
-    REPRO_SPAN("test.report.outer");
-    { REPRO_SPAN("test.report.inner"); }
-  }
-  const std::string report = profile_text_report();
-  EXPECT_NE(report.find("test.report.outer"), std::string::npos);
-  EXPECT_NE(report.find("test.report.inner"), std::string::npos);
-}
-
 // --- The enabled/disabled gate ---------------------------------------
 
 TEST_F(TelemetryTest, DisabledRecordersHaveNoEffect) {
@@ -336,18 +326,6 @@ TEST_F(TelemetryTest, MetricsJsonRoundTrip) {
   EXPECT_NE(json.find("\"test.json.hist\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"count\":10"), std::string::npos) << json;
   EXPECT_NE(json.find("\"p95\""), std::string::npos) << json;
-}
-
-TEST_F(TelemetryTest, TelemetryJsonIncludesSpans) {
-  {
-    REPRO_SPAN("test.json.span");
-    count("test.json.inner");
-  }
-  const std::string json = telemetry_json();
-  EXPECT_TRUE(json_is_balanced(json)) << json;
-  EXPECT_NE(json.find("\"enabled\":true"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"test.json.span\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"calls\":1"), std::string::npos) << json;
 }
 
 TEST_F(TelemetryTest, ChromeTraceJsonHasSliceEvents) {

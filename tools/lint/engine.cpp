@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -251,9 +250,6 @@ EngineResult Engine::run(const Corpus& corpus, bool emit_rl010) const {
   const std::size_t n = corpus.files.size();
   constexpr std::size_t kGrain = 4;
   for (const std::unique_ptr<Pass>& pass : passes_) {
-    const auto start = std::chrono::steady_clock::now();
-    std::size_t pass_findings = 0;
-
     // Per-file sweep: per-chunk buffers, merged in chunk (= path) order
     // so the result is identical at every lane count.
     std::vector<std::vector<Finding>> parts(
@@ -270,7 +266,6 @@ EngineResult Engine::run(const Corpus& corpus, bool emit_rl010) const {
       for (Finding& f : part) {
         if (waived(f)) continue;
         result.findings.push_back(std::move(f));
-        ++pass_findings;
       }
     }
 
@@ -279,13 +274,7 @@ EngineResult Engine::run(const Corpus& corpus, bool emit_rl010) const {
     for (Finding& f : corpus_findings) {
       if (waived(f)) continue;
       result.findings.push_back(std::move(f));
-      ++pass_findings;
     }
-
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    result.timings.push_back(
-        PassTiming{pass->name(), elapsed.count(), pass_findings});
   }
 
   std::stable_sort(result.findings.begin(), result.findings.end(),

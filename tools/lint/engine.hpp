@@ -114,15 +114,8 @@ class Pass {
 // ---------------------------------------------------------------------------
 // Engine.
 
-struct PassTiming {
-  std::string pass;
-  double seconds = 0.0;
-  std::size_t findings = 0;  // after suppression filtering
-};
-
 struct EngineResult {
   std::vector<Finding> findings;  // filtered, sorted (file, line, rule)
-  std::vector<PassTiming> timings;
   std::size_t files_scanned = 0;
 };
 

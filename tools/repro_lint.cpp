@@ -10,8 +10,7 @@
 //                    architecture against tools/lint/layers.txt)
 //   --format-check   RF001-RF005 whitespace/line hygiene only
 //   --json           machine-readable findings on stdout (byte-identical
-//                    at any REPRO_THREADS — no timings in the stream)
-//   --timings-json F per-pass wall times, written to F for the bench
+//                    at any REPRO_THREADS)
 //   --graph-dot F|-  module-level include graph as Graphviz DOT
 //   --layers F       layering manifest (default: <root>/tools/lint/layers.txt)
 //   --include-fixtures  also collect *.cpp.fixture etc. from directories
@@ -52,17 +51,6 @@ void print_findings_json(std::ostream& out, const EngineResult& result,
   out << (result.findings.empty() ? "" : "\n  ") << "]\n}\n";
 }
 
-void print_timings_json(std::ostream& out, const EngineResult& result) {
-  out << "{\n  \"passes\": [";
-  for (std::size_t i = 0; i < result.timings.size(); ++i) {
-    const PassTiming& t = result.timings[i];
-    out << (i ? "," : "") << "\n    {\"pass\": \"" << t.pass
-        << "\", \"seconds\": " << t.seconds
-        << ", \"findings\": " << t.findings << "}";
-  }
-  out << (result.timings.empty() ? "" : "\n  ") << "]\n}\n";
-}
-
 void print_rules(const Engine& engine, const Pass& format_pass) {
   std::cout << "repro_lint rule table\n\n";
   for (const auto& pass : engine.passes()) pass->describe(std::cout);
@@ -78,7 +66,6 @@ int main(int argc, char** argv) {
   bool json_mode = false;
   bool list_rules = false;
   bool include_fixtures = false;
-  std::string timings_path;
   std::string graph_dot;   // output path, "-" = stdout
   std::string layers_path; // empty = default manifest
   std::vector<std::string> inputs;
@@ -98,8 +85,6 @@ int main(int argc, char** argv) {
       format_mode = true;
     } else if (arg == "--json") {
       json_mode = true;
-    } else if (arg == "--timings-json") {
-      timings_path = need_value(i, arg);
     } else if (arg == "--graph-dot") {
       graph_dot = need_value(i, arg);
     } else if (arg == "--layers") {
@@ -111,8 +96,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::cout
           << "usage: repro_lint [--root <dir>] [--format-check] [--json]\n"
-             "                  [--timings-json <file>] [--graph-dot "
-             "<file|->]\n"
+             "                  [--graph-dot <file|->]\n"
              "                  [--layers <manifest>] [--include-fixtures]\n"
              "                  [--list-rules] <paths...>\n";
       return 0;
@@ -176,15 +160,6 @@ int main(int argc, char** argv) {
       collect_files(inputs, root, include_fixtures, io_error);
   const Corpus corpus = load_corpus(files, root, io_error);
   const EngineResult result = engine.run(corpus, /*emit_rl010=*/!format_mode);
-
-  if (!timings_path.empty()) {
-    std::ofstream out(timings_path, std::ios::binary);
-    if (!out) {
-      std::cerr << "repro_lint: cannot write " << timings_path << "\n";
-      return 2;
-    }
-    print_timings_json(out, result);
-  }
 
   if (!graph_dot.empty()) {
     const std::string dot = include_graph_dot(corpus, manifest);

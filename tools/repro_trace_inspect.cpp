@@ -6,16 +6,17 @@
 //     FlightRecorder::dump_json): rebuilds every request's
 //     admission-to-terminal event timeline and the composition of each
 //     batched model call, flagging incomplete timelines;
-//   * a Chrome trace export (*.trace.json from telemetry_report /
-//     bench runs): summarizes spans (calls, total wall time) and lists
-//     the serve.batch.execute slices with their args (batch id, request
-//     count, flows, model version).
+//   * a Chrome trace export (BENCH_<name>.trace.json, written by any
+//     bench run under REPRO_TELEMETRY=1): summarizes spans (calls,
+//     total wall time) and lists the serve.batch.execute slices with
+//     their args (batch id, request count, flows, model version).
 //
 // Modes:
 //   --json             machine-readable report instead of text
 //   --expect-complete  flight-dump mode: exit non-zero unless the dump
-//                      holds at least one request and every timeline is
-//                      complete (the check.sh flight-recorder gate)
+//                      is complete (serve::observe::incomplete_reason:
+//                      every timeline complete, every connection closed
+//                      and frame-balanced)
 //   --top N            chrome mode: how many spans to list (default 10)
 #include <algorithm>
 #include <cstdio>
@@ -184,34 +185,10 @@ int run(int argc, char** argv) {
       }
     }
     if (expect_complete) {
-      if (report.requests.empty()) {
-        std::fprintf(stderr,
-                     "repro_trace_inspect: FAIL — dump holds no requests\n");
+      if (const auto why = serve::observe::incomplete_reason(report)) {
+        std::fprintf(stderr, "repro_trace_inspect: FAIL — %s\n",
+                     why->c_str());
         return 1;
-      }
-      if (report.complete != report.requests.size()) {
-        std::fprintf(stderr,
-                     "repro_trace_inspect: FAIL — %zu/%zu timelines "
-                     "incomplete\n",
-                     report.requests.size() - report.complete,
-                     report.requests.size());
-        return 1;
-      }
-      // Socket dumps additionally carry connection summaries; a
-      // complete dump has every connection closed and frame-balanced
-      // (each decoded request frame answered by exactly one reply).
-      for (const auto& conn : report.connections) {
-        if (!conn.opened || !conn.closed ||
-            conn.frames_decoded != conn.frames_sent) {
-          std::fprintf(stderr,
-                       "repro_trace_inspect: FAIL — conn %llu unbalanced "
-                       "(%llu frames in / %llu out, opened=%d closed=%d)\n",
-                       static_cast<unsigned long long>(conn.conn_id),
-                       static_cast<unsigned long long>(conn.frames_decoded),
-                       static_cast<unsigned long long>(conn.frames_sent),
-                       conn.opened ? 1 : 0, conn.closed ? 1 : 0);
-          return 1;
-        }
       }
       std::fprintf(stderr, "repro_trace_inspect: OK — %zu/%zu timelines "
                    "complete, %zu connections balanced\n",
