@@ -36,8 +36,9 @@ mkdir -p "$ROOT/reports"
   --graph-dot "$ROOT/reports/include_graph.dot" src > /dev/null
 
 echo "== serving layer (label: serve) =="
-# Includes the flight recorder gate: served_client_inspect_chain runs
-# repro_served -> repro_client -> repro_trace_inspect --expect-complete.
+# Includes the flight recorder gate: served_selftest and
+# served_sharded_selftest run repro_served -> repro_client, then
+# trace_inspect_*_dump run repro_trace_inspect --expect-complete.
 ctest --test-dir "$BUILD_DIR" -L serve --output-on-failure
 
 echo "== socket front-end (label: serve_net) =="

@@ -1,17 +1,17 @@
 #!/usr/bin/env sh
-# The serving CLIs chained end to end: repro_served (2 lanes, toy model)
-# -> two repro_client connections -> repro_trace_inspect
-# --expect-complete over the flight dump the daemon wrote on exit. Fails
-# unless every reply is ok and the merged dump holds a complete timeline
-# for every request, with every connection closed and frame-balanced.
+# The serving CLIs chained end to end: repro_served (toy model, <lanes>
+# worker lanes) -> two repro_client connections. Fails unless every
+# reply is ok and the daemon exits cleanly on stdin EOF; the flight dump
+# it writes on exit is left at <work-dir>/flightrec.json for
+# repro_trace_inspect --expect-complete.
 #
-# Usage: served_chain_test.sh <repro_served> <repro_client>
-#                             <repro_trace_inspect> <work-dir>
+# Usage: served_chain_test.sh <repro_served> <repro_client> <lanes>
+#                             <work-dir>
 set -eu
 
 SERVED=$1
 CLIENT=$2
-INSPECT=$3
+LANES=$3
 WORK=$4
 
 rm -rf "$WORK"
@@ -21,7 +21,7 @@ OUT="$WORK/served.out"
 DUMP="$WORK/flightrec.json"
 mkfifo "$FIFO"
 
-REPRO_BENCH_DIR="$WORK" "$SERVED" --lanes 2 --dump-flightrec "$DUMP" \
+REPRO_BENCH_DIR="$WORK" "$SERVED" --lanes "$LANES" --dump-flightrec "$DUMP" \
   < "$FIFO" > "$OUT" 2>&1 &
 PID=$!
 trap 'kill "$PID" 2> /dev/null || true' EXIT
@@ -48,4 +48,3 @@ exec 3>&-
 wait "$PID"
 trap - EXIT
 cat "$OUT"
-"$INSPECT" --expect-complete "$DUMP"
