@@ -44,16 +44,16 @@ ctest --test-dir "$BUILD_DIR" -L serve --output-on-failure
 echo "== socket front-end (label: serve_net) =="
 ctest --test-dir "$BUILD_DIR" -L serve_net --output-on-failure
 
-echo "== lane determinism, repeated (ShardTest x20) =="
-# The lanes share one model through its const sampling path; a write to
-# shared model state shows up here as a flaky byte mismatch or crash.
+echo "== executor determinism, repeated (ShardTest x20) =="
+# The executors share one model through its const sampling path; a write
+# to shared model state shows up here as a flaky byte mismatch or crash.
 ctest --test-dir "$BUILD_DIR" -R ShardTest --repeat until-fail:20 \
   --output-on-failure
 
 echo "== sanitizers: ASan+UBSan, libstdc++ assertions (label: sanitize) =="
 # A second tree with address+undefined instrumentation and checked
 # libstdc++ containers; the `sanitize` label selects the suites cheap
-# enough to run there (socket server, the service and its sharded lanes,
+# enough to run there (socket server, the service and its executors,
 # lane concurrency, checkpoint bounds, parallel layer, telemetry, the nn
 # kernels and gradient checks, the determinism lane sweeps). Under -fsanitize=address GCC 12
 # reports -Wmaybe-uninitialized inside libstdc++'s <regex> (repro_lint),
@@ -68,7 +68,7 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
 echo "== sanitizers: TSan (label: sanitize) =="
 # The same suites in a -fsanitize=thread tree: the pool, the GEMM row
 # split under the gradchecks and backward references, the lane sweeps,
-# the lanes sampling one shared model, and the service's background
+# the executors sampling one shared model, and the service's background
 # workers and socket server.
 TSAN_DIR="$BUILD_DIR-tsan"
 cmake -B "$TSAN_DIR" -S "$ROOT" -DREPRO_SANITIZE=thread

@@ -38,8 +38,9 @@ std::string env_string(const char* name, const std::string& fallback);
 
 /// Serving-layer knobs (tools/benches read them through env_size so a
 /// malformed value falls back with a warning, like every other knob):
-/// worker-lane count of the sharded service, and the TCP port of the
-/// socket front-end (`repro_served --listen`).
+/// the number of executor threads pumping the service's one request
+/// queue (ServiceConfig::workers, `repro_served --lanes`), and the TCP
+/// port of the socket front-end (`repro_served`).
 inline constexpr const char* kEnvServeLanes = "REPRO_SERVE_LANES";
 inline constexpr const char* kEnvServePort = "REPRO_SERVE_PORT";
 

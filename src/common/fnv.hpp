@@ -1,7 +1,6 @@
-// 64-bit FNV-1a: the one byte hash behind shard routing and the
-// bit-identity content hashes (serve::wire::hash_flows and the tests'
-// determinism hashes). Changing it moves every pinned ring position and
-// content hash.
+// 64-bit FNV-1a: the one byte hash behind the bit-identity content
+// hashes (serve::wire::hash_flows and the tests' determinism hashes).
+// Changing it moves every pinned content hash.
 #pragma once
 
 #include <cstddef>

@@ -5,11 +5,13 @@
 namespace repro::serve {
 namespace {
 
-/// Flat string encoding of the key (map-friendly; '\x1f' separates the
-/// version string from the numeric fields so versions cannot collide
-/// with each other's suffixes).
+/// Flat string encoding of the key (map-friendly; '\x1f' ends the name
+/// and the version strings, so neither can collide with the other's
+/// suffix or with the numeric fields).
 std::string encode(const CacheKey& key) {
-  std::string out = key.model_version;
+  std::string out = key.model;
+  out.push_back('\x1f');
+  out += key.model_version;
   out.push_back('\x1f');
   out += std::to_string(key.class_id);
   out.push_back(':');
@@ -27,8 +29,9 @@ std::string encode(const CacheKey& key) {
 
 CacheKey cache_key_of(const GenerateRequest& request,
                       const std::string& model_version) {
-  return CacheKey{model_version,   request.class_id,   request.seed,
-                  request.sampler, request.ddim_steps, request.count};
+  return CacheKey{request.model,   model_version,      request.class_id,
+                  request.seed,    request.sampler,    request.ddim_steps,
+                  request.count};
 }
 
 ResultCache::ResultCache(std::size_t capacity) : capacity_(capacity) {}

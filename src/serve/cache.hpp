@@ -1,12 +1,13 @@
 // Result cache: LRU over complete responses, keyed by everything that
 // determines the generated bits.
 //
-// The determinism contract makes caching sound: (model_version, class,
-// seed, sampler, steps, count) fully determines a seeded generation's
-// output, so a hit can return the stored flows verbatim — a repeated
-// request is free and bit-identical. model_version in the key means a
-// registry hot-swap naturally invalidates (old entries become
-// unreachable and age out of the LRU).
+// The determinism contract makes caching sound: (model, model_version,
+// class, seed, sampler, steps, count) fully determines a seeded
+// generation's output, so a hit can return the stored flows verbatim —
+// a repeated request is free and bit-identical. The model name keeps
+// registry entries apart (two models may share a version string), and
+// model_version in the key means a registry hot-swap naturally
+// invalidates (old entries become unreachable and age out of the LRU).
 #pragma once
 
 #include <cstdint>
@@ -23,6 +24,7 @@
 namespace repro::serve {
 
 struct CacheKey {
+  std::string model;  ///< registry name
   std::string model_version;
   int class_id = 0;
   std::uint64_t seed = 0;

@@ -5,8 +5,8 @@
 // implementation, so the encode/decode path under test is the same one
 // users run. The client supports pipelining: send() any number of
 // request frames, then read replies as they arrive — replies carry the
-// server-assigned request id, and with sharded lanes they may come back
-// in a different order than the requests went out.
+// server-assigned request id, and with several executors they may come
+// back in a different order than the requests went out.
 #pragma once
 
 #include <cstdint>

@@ -67,7 +67,7 @@ std::uint32_t clip_u32(std::size_t n) noexcept {
 
 }  // namespace
 
-SocketServer::SocketServer(ShardedService& backend, ServerConfig config)
+SocketServer::SocketServer(TraceService& backend, ServerConfig config)
     : backend_(backend), config_(config) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
@@ -151,8 +151,8 @@ std::size_t SocketServer::poll_once(int timeout_ms) {
   const bool accepting = conns_.size() < config_.max_connections;
   fds.push_back(pollfd{listen_fd_,
                        static_cast<short>(accepting ? POLLIN : 0), 0});
-  // Model completions don't make a socket readable: the shards' notifier
-  // writes wake_fd_, so a fulfilled response ends the wait at once.
+  // Model completions don't make a socket readable: the service's
+  // notifier writes wake_fd_, so a fulfilled response ends the wait at once.
   fds.push_back(pollfd{wake_fd_, POLLIN, 0});
   constexpr std::size_t kConnBase = 2;
   for (const Connection& conn : conns_) {
@@ -215,7 +215,7 @@ std::size_t SocketServer::accept_ready() {
     event.time = backend_.now();
     event.batch_id = conns_.back().id;
     event.kind = observe::EventKind::kConnOpened;
-    backend_.frontend_recorder().record(event);
+    backend_.flight_recorder().record(event);
 
     opened_.fetch_add(1, std::memory_order_relaxed);
     open_.store(conns_.size(), std::memory_order_relaxed);
@@ -290,7 +290,7 @@ void SocketServer::handle_frame(Connection& conn, const Frame& frame) {
   event.batch_id = conn.id;
   event.flows = clip_u32(frame.payload.size());
   event.kind = observe::EventKind::kFrameDecoded;
-  backend_.frontend_recorder().record(event);
+  backend_.flight_recorder().record(event);
 
   if (frame.type != FrameType::kRequest) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -382,7 +382,7 @@ void SocketServer::note_frame_sent(Connection& conn, std::uint64_t trace_id,
   event.batch_id = conn.id;
   event.flows = clip_u32(payload_bytes);
   event.kind = observe::EventKind::kFrameSent;
-  backend_.frontend_recorder().record(event);
+  backend_.flight_recorder().record(event);
 }
 
 void SocketServer::flush(Connection& conn) {
@@ -416,7 +416,7 @@ void SocketServer::close_connection(Connection& conn) {
   event.batch_id = conn.id;
   event.flows = clip_u32(conn.frames_in);
   event.kind = observe::EventKind::kConnClosed;
-  backend_.frontend_recorder().record(event);
+  backend_.flight_recorder().record(event);
 
   closed_.fetch_add(1, std::memory_order_relaxed);
   NetStats::instance().conns_closed.add(1);

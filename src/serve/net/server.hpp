@@ -1,14 +1,14 @@
-// SocketServer: the poll()-driven TCP front-end over a ShardedService.
+// SocketServer: the poll()-driven TCP front-end over a TraceService.
 //
 // One event loop owns every connection (accept, read, decode, submit,
-// harvest, write) and never blocks on model work: decoded requests are
-// routed to their shard with submit_traced(), and the loop sleeps in
-// poll() until a socket is ready or a shard fulfils a response — the
-// shards' completion notifier writes an eventfd that sits in the pollfd
-// set — so a slow batch on one shard never stalls reads on other
-// connections, and a pending reply never turns the loop into a spin.
-// The loop can be driven cooperatively (tests call poll_once()) or by a
-// BackgroundWorker (start()/stop(), used by `repro_served --listen`) —
+// harvest, write) and never blocks on model work: decoded requests go
+// to the service's one queue with submit_traced(), and the loop sleeps
+// in poll() until a socket is ready or an executor fulfils a response —
+// the service's completion notifier writes an eventfd that sits in the
+// pollfd set — so a slow batch on one executor never stalls reads on
+// other connections, and a pending reply never turns the loop into a
+// spin. The loop can be driven cooperatively (tests call poll_once())
+// or by a BackgroundWorker (start()/stop(), used by `repro_served`) —
 // this file deliberately creates no thread of its own (repro_lint
 // RL002).
 //
@@ -28,9 +28,10 @@
 // Observability: the server mints each request's trace id AT FRAME
 // DECODE (before admission) and records conn-scoped flight events —
 // conn_opened / frame_decoded / frame_sent / conn_closed — into the
-// backend's frontend recorder, so a merged flight dump shows the full
-// wire-to-model timeline. health_fragment() plugs into
-// ShardedService::health_json() as its "connections" section.
+// service's flight recorder, the same ring the service's own events
+// land in, so one dump shows the full wire-to-model timeline.
+// health_fragment() plugs into TraceService::health_json() as its
+// "connections" section.
 #pragma once
 
 #include <atomic>
@@ -41,7 +42,7 @@
 #include <vector>
 
 #include "serve/net/protocol.hpp"
-#include "serve/shard.hpp"
+#include "serve/service.hpp"
 
 namespace repro::serve::wire {
 
@@ -66,7 +67,7 @@ class SocketServer {
   /// socket/bind failure. Installs itself as the backend's transport
   /// health supplier and completion notifier (both uninstalled in the
   /// destructor).
-  SocketServer(ShardedService& backend, ServerConfig config);
+  SocketServer(TraceService& backend, ServerConfig config);
   ~SocketServer();
 
   SocketServer(const SocketServer&) = delete;
@@ -134,10 +135,10 @@ class SocketServer {
   void close_connection(Connection& conn);
   void reap_closed();
 
-  ShardedService& backend_;
+  TraceService& backend_;
   ServerConfig config_;
   int listen_fd_ = -1;
-  int wake_fd_ = -1;  ///< eventfd the shards' completion notifier writes
+  int wake_fd_ = -1;  ///< eventfd the service's completion notifier writes
   std::uint16_t port_ = 0;
   std::uint64_t next_conn_id_ = 1;
   std::vector<Connection> conns_;

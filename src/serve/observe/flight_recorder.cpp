@@ -87,23 +87,17 @@ std::vector<FlightEvent> FlightRecorder::dump() const {
 }
 
 std::string FlightRecorder::dump_json() const {
-  return flight_dump_json(dump(), capacity_, recorded(), overwritten());
-}
-
-std::string flight_dump_json(const std::vector<FlightEvent>& events,
-                             std::size_t capacity, std::uint64_t recorded,
-                             std::uint64_t overwritten) {
   JsonWriter json;
   json.begin_object();
   json.key("capacity");
-  json.value(static_cast<std::uint64_t>(capacity));
+  json.value(static_cast<std::uint64_t>(capacity_));
   json.key("recorded");
-  json.value(recorded);
+  json.value(recorded());
   json.key("overwritten");
-  json.value(overwritten);
+  json.value(overwritten());
   json.key("events");
   json.begin_array();
-  for (const FlightEvent& event : events) {
+  for (const FlightEvent& event : dump()) {
     json.begin_object();
     json.key("t");
     json.value(event.time);

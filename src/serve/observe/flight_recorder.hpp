@@ -81,9 +81,4 @@ class FlightRecorder {
   std::atomic<bool> forced_{false};
 };
 
-/// Serializes `events` (with recorder accounting) in the dump format.
-std::string flight_dump_json(const std::vector<FlightEvent>& events,
-                             std::size_t capacity, std::uint64_t recorded,
-                             std::uint64_t overwritten);
-
 }  // namespace repro::serve::observe

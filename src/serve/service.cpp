@@ -59,7 +59,6 @@ SubmitResult TraceService::submit_traced(const GenerateRequest& request,
   REPRO_SPAN("serve.submit");
   SubmitResult result;
   stats_.submitted.add();
-  own_submitted_.fetch_add(1, std::memory_order_relaxed);
   // The trace id is minted at admission — before any validation — so
   // even rejected requests have a timeline in the flight recorder. The
   // socket front-end mints earlier (at frame decode) and passes it in.
@@ -72,7 +71,6 @@ SubmitResult TraceService::submit_traced(const GenerateRequest& request,
 
   const auto reject = [&](RejectReason reason) {
     result.reject = reason;
-    own_rejected_.fetch_add(1, std::memory_order_relaxed);
     if (reason == RejectReason::kQueueFull) {
       stats_.rejected_full.add();
     } else {
@@ -114,8 +112,6 @@ SubmitResult TraceService::submit_traced(const GenerateRequest& request,
   if (auto hit = cache_.get(cache_key_of(request, snap->version))) {
     stats_.cache_hits.add();
     stats_.completed.add();
-    own_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    own_completed_.fetch_add(1, std::memory_order_relaxed);
     stats_.flows_served.add(hit->size());
     note_event(observe::EventKind::kCacheHit, result.request_id, 0, flows,
                lane, 0, now);
@@ -153,7 +149,6 @@ SubmitResult TraceService::submit_traced(const GenerateRequest& request,
 
 void TraceService::cancel(Pending&& p, RejectReason reason, double now) {
   stats_.cancelled_deadline.add();
-  own_cancelled_.fetch_add(1, std::memory_order_relaxed);
   stats_.lane_of(p.request.priority).cancelled.add();
   const std::uint8_t lane = lane_index(p.request.priority);
   const auto flows = static_cast<std::uint32_t>(p.request.count);
@@ -174,15 +169,20 @@ void TraceService::cancel(Pending&& p, RejectReason reason, double now) {
 }
 
 void TraceService::set_completion_notifier(std::function<void()> fn) {
-  std::lock_guard<std::mutex> lock(notifier_mutex_);
+  std::lock_guard<std::mutex> lock(hooks_mutex_);
   notifier_ = std::move(fn);
+}
+
+void TraceService::set_transport_health(std::function<std::string()> fn) {
+  std::lock_guard<std::mutex> lock(hooks_mutex_);
+  transport_health_ = std::move(fn);
 }
 
 void TraceService::notify_completion() {
   // Called under the lock: once set_completion_notifier({}) returns, no
   // call is in flight, so its owner may release what the call touches
   // (the socket server closes its eventfd).
-  std::lock_guard<std::mutex> lock(notifier_mutex_);
+  std::lock_guard<std::mutex> lock(hooks_mutex_);
   if (notifier_) notifier_();
 }
 
@@ -231,7 +231,7 @@ std::size_t TraceService::execute(FormedBatch&& formed, double now) {
   if (formed.batch.empty()) return done;
 
   const std::uint64_t batch_id =
-      next_batch_id().fetch_add(1, std::memory_order_relaxed);
+      next_batch_id_.fetch_add(1, std::memory_order_relaxed);
   telemetry::SpanTimer span("serve.batch.execute");
   span.arg("batch_id", batch_id)
       .arg("requests", static_cast<std::uint64_t>(formed.batch.size()))
@@ -274,7 +274,8 @@ std::size_t TraceService::execute(FormedBatch&& formed, double now) {
              static_cast<std::uint32_t>(formed.flows), 0, 0, now);
 
   // Through a const reference: sampling reads the shared model only, so
-  // lanes running the same snapshot concurrently share nothing mutable.
+  // executors running the same snapshot concurrently share nothing
+  // mutable.
   const diffusion::TraceDiffusion& model = *snap->pipeline;
   std::vector<net::Flow> flows;
   try {
@@ -315,7 +316,6 @@ std::size_t TraceService::execute(FormedBatch&& formed, double now) {
     stats_.queue_wait.observe(response.queue_wait);
     stats_.latency.observe(response.total_latency);
     stats_.completed.add();
-    own_completed_.fetch_add(1, std::memory_order_relaxed);
     stats_.flows_served.add(p.request.count);
     LaneStats& lane = stats_.lane_of(p.request.priority);
     lane.queue_wait.observe(response.queue_wait);
@@ -351,6 +351,8 @@ std::string TraceService::health_json() const {
   json.value(slo_.overall_status(now));
   json.key("uptime_seconds");
   json.value(now - start_time_);
+  json.key("workers");
+  json.value(static_cast<std::uint64_t>(config_.workers));
 
   json.key("requests");
   json.begin_object();
@@ -430,6 +432,14 @@ std::string TraceService::health_json() const {
   json.value(flightrec_.armed());
   json.end_object();
 
+  {
+    std::lock_guard<std::mutex> lock(hooks_mutex_);
+    if (transport_health_) {
+      json.key("connections");
+      json.raw(transport_health_());
+    }
+  }
+
   json.end_object();
   return std::move(json).str();
 }
@@ -451,7 +461,7 @@ void TraceService::start() {
           return 0;
         }
       },
-      config_.worker_idle_wait);
+      config_.worker_idle_wait, config_.workers);
 }
 
 void TraceService::stop() {

@@ -2,15 +2,21 @@
 //
 //   submit() [any thread] -> admission control -> ResultCache probe
 //     -> RequestQueue (priority lanes, bounded)
-//   pump()   [ONE consumer] -> BatchScheduler::form -> cancel expired
+//   pump()   [K executors] -> BatchScheduler::form -> cancel expired
 //     -> ModelRegistry snapshot -> generate_with_flow_seeds (ONE batched
 //        model call) -> split per request -> fulfill futures + cache
 //
-// Threading model: submit() is safe from any number of threads and
-// never blocks on model work (full queue => typed reject). pump() must
-// be driven by exactly one consumer — either cooperatively (tests,
-// closed-loop benches) or by the built-in BackgroundWorker
-// (start()/stop(), used by the daemon). All model math inside pump()
+// Threading model: one queue, one batcher, one cache and one flight
+// recorder, drained by K executors. submit() is safe from any number of
+// threads and never blocks on model work (full queue => typed reject).
+// pump() is safe from any number of threads at once: the queue, cache,
+// SLO tracker and completion notifier are locked, the recorder is
+// multi-producer and the stats are atomics, so two pumps racing for one
+// queue head at worst form an empty batch. It is driven either
+// cooperatively (tests, closed-loop benches) or by the built-in
+// BackgroundWorker's ServiceConfig::workers threads (start()/stop(),
+// used by the daemon). The executors share the registry's read-only
+// model through its const sampling path; all model math inside pump()
 // still runs under the deterministic parallel lane model.
 //
 // Observability: every request is traced end to end. submit() mints a
@@ -18,17 +24,21 @@
 // FlightEvent — admitted / rejected / cache-hit / deadline-swept /
 // coalesced-into-batch / completed — to the service's flight recorder
 // (lock-free ring, one relaxed atomic load when REPRO_TELEMETRY is
-// off). The SLO tracker burns per-lane error budget on objective
-// misses, and health_json() exports lane percentiles, budget status,
-// and recorder accounting as one machine-readable snapshot. Tracing is
-// scheduling-metadata only: it never touches RNG streams or model
-// state, so served bits are identical with tracing on or off (locked
-// in by tests/serve_test.cpp).
+// off). The socket front-end records its connection and frame events
+// into the same ring, so one dump holds the wire-to-model timeline. The
+// SLO tracker burns per-lane error budget on objective misses, and
+// health_json() exports lane percentiles, budget status, recorder
+// accounting and the transport's connection counters as one
+// machine-readable snapshot. Tracing is scheduling-metadata only: it
+// never touches RNG streams or model state, so served bits are
+// identical with tracing on or off (locked in by tests/serve_test.cpp).
 //
 // Determinism: per-flow noise streams are forked from (request.seed,
 // flow_index) exactly as TraceDiffusion::generate_seeded does, so a
 // served response is bit-identical to the direct library call, no
-// matter how requests were batched, at any REPRO_THREADS setting.
+// matter how requests were batched or which executor ran the batch, at
+// any REPRO_THREADS setting and any worker count (locked in by
+// tests/serve_shard_test.cpp at 1, 2 and 8 workers).
 #pragma once
 
 #include <atomic>
@@ -50,9 +60,14 @@
 namespace repro::serve {
 
 struct ServiceConfig {
+  /// Queued requests, across every priority lane and executor.
   std::size_t queue_capacity = 64;
   BatchPolicy batch;
   std::size_t cache_capacity = 256;  ///< 0 disables the result cache
+  /// Executor threads start() runs, all pumping the one queue. Tools
+  /// and benches default this from REPRO_SERVE_LANES (see
+  /// common/env.hpp kEnvServeLanes).
+  std::size_t workers = 1;
   double worker_idle_wait = 0.005;   ///< seconds; background mode only
   /// Flight-recorder ring size (events); 0 disables recording entirely.
   std::size_t flightrec_capacity = 4096;
@@ -65,12 +80,6 @@ struct ServiceConfig {
   /// sampler/ddim_steps/count/seed come from each request.
   diffusion::GenerateOptions base_options;
   ClockFn clock;  ///< defaults to steady_clock_fn() when empty
-  /// Shared trace-id / batch-id allocators. A ShardedService injects
-  /// one pair across all its shards so ids stay unique in a merged
-  /// flight dump; when null the service allocates from private
-  /// counters (the single-service behavior is unchanged).
-  std::shared_ptr<std::atomic<std::uint64_t>> id_source;
-  std::shared_ptr<std::atomic<std::uint64_t>> batch_id_source;
 };
 
 struct SubmitResult {
@@ -103,6 +112,7 @@ class TraceService {
   /// cancelled); 0 when idle or when the batch policy prefers to wait.
   /// Reads the clock exactly once; the whole iteration — dispatch
   /// decision, deadline sweep, batch formation — sees that one `now`.
+  /// Safe to call from several threads at once.
   std::size_t pump();
 
   /// pump() against an injected timestamp (tests; fake clocks).
@@ -112,17 +122,22 @@ class TraceService {
   /// minted when the request frame is decoded, so protocol-level
   /// rejects have timelines too).
   std::uint64_t mint_trace_id() noexcept {
-    return next_id().fetch_add(1, std::memory_order_relaxed);
+    return next_id_.fetch_add(1, std::memory_order_relaxed);
   }
+
+  /// Current service-clock time (the socket front-end stamps its
+  /// conn/frame events from it, so one dump is ordered on one axis).
+  double now() const { return clock_(); }
 
   /// pump() until the queue is empty (ignores the max-wait policy).
   std::size_t drain();
 
-  /// Starts/stops the background pump thread (idempotent). If pump()
-  /// throws on the worker (a serving-path bug, not a model error —
-  /// those are delivered through the response future), the worker logs
-  /// the flight-recorder dump for post-mortem debugging and the
-  /// service closes (new submissions get kShuttingDown).
+  /// Starts/stops the ServiceConfig::workers background pump threads
+  /// (idempotent). If pump() throws on a worker (a serving-path bug,
+  /// not a model error — those are delivered through the response
+  /// future), the worker logs the flight-recorder dump for post-mortem
+  /// debugging and the service closes (new submissions get
+  /// kShuttingDown).
   void start();
   void stop();
 
@@ -153,27 +168,6 @@ class TraceService {
   const ServiceConfig& config() const noexcept { return config_; }
   ModelRegistry& registry() noexcept { return registry_; }
 
-  /// Per-instance admission/completion tallies. ServiceStats counters
-  /// are process-wide registry objects shared by every service in the
-  /// process; a ShardedService needs per-shard numbers for its health
-  /// report, so each instance also keeps its own.
-  struct InstanceCounters {
-    std::uint64_t submitted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t cancelled = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t cache_hits = 0;
-  };
-  InstanceCounters counters() const noexcept {
-    InstanceCounters out;
-    out.submitted = own_submitted_.load(std::memory_order_relaxed);
-    out.completed = own_completed_.load(std::memory_order_relaxed);
-    out.cancelled = own_cancelled_.load(std::memory_order_relaxed);
-    out.rejected = own_rejected_.load(std::memory_order_relaxed);
-    out.cache_hits = own_cache_hits_.load(std::memory_order_relaxed);
-    return out;
-  }
-
   /// Recent per-request events (see serve/observe/flight_recorder.hpp).
   observe::FlightRecorder& flight_recorder() noexcept { return flightrec_; }
   const observe::FlightRecorder& flight_recorder() const noexcept {
@@ -181,9 +175,16 @@ class TraceService {
   }
   const observe::SloTracker& slo() const noexcept { return slo_; }
 
-  /// Machine-readable health snapshot: overall SLO status, per-lane
-  /// p50/p95/p99 + error-budget windows, queue/cache/batch counters,
-  /// and flight-recorder accounting. Safe to call from any thread.
+  /// Transport health fragment supplier (a JSON object string); the
+  /// socket server installs one so health_json() can report open
+  /// connections and frame counters. {} uninstalls.
+  void set_transport_health(std::function<std::string()> fn);
+
+  /// Machine-readable health snapshot: overall SLO status, worker
+  /// count, per-lane p50/p95/p99 + error-budget windows,
+  /// queue/cache/batch counters, flight-recorder accounting, and — when
+  /// a socket server is attached — its "connections" section. Safe to
+  /// call from any thread.
   std::string health_json() const;
 
  private:
@@ -194,13 +195,6 @@ class TraceService {
   void note_event(observe::EventKind kind, std::uint64_t request_id,
                   std::uint64_t batch_id, std::uint32_t flows,
                   std::uint8_t lane, std::uint16_t detail, double time);
-  std::atomic<std::uint64_t>& next_id() noexcept {
-    return config_.id_source ? *config_.id_source : next_id_;
-  }
-  std::atomic<std::uint64_t>& next_batch_id() noexcept {
-    return config_.batch_id_source ? *config_.batch_id_source
-                                   : next_batch_id_;
-  }
 
   ModelRegistry& registry_;
   ServiceConfig config_;
@@ -214,14 +208,10 @@ class TraceService {
   double start_time_;
   std::atomic<std::uint64_t> next_id_{1};
   std::atomic<std::uint64_t> next_batch_id_{1};
-  std::atomic<std::uint64_t> own_submitted_{0};
-  std::atomic<std::uint64_t> own_completed_{0};
-  std::atomic<std::uint64_t> own_cancelled_{0};
-  std::atomic<std::uint64_t> own_rejected_{0};
-  std::atomic<std::uint64_t> own_cache_hits_{0};
   std::atomic<bool> closed_{false};
-  std::mutex notifier_mutex_;
-  std::function<void()> notifier_;  // guarded by notifier_mutex_
+  mutable std::mutex hooks_mutex_;
+  std::function<void()> notifier_;  // guarded by hooks_mutex_
+  std::function<std::string()> transport_health_;  // guarded by hooks_mutex_
   std::unique_ptr<BackgroundWorker> worker_;
 };
 

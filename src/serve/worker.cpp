@@ -7,10 +7,15 @@
 namespace repro::serve {
 
 BackgroundWorker::BackgroundWorker(std::function<std::size_t()> step,
-                                   double idle_wait_seconds)
-    : step_(std::move(step)),
-      idle_wait_seconds_(idle_wait_seconds),
-      thread_([this] { loop(); }) {}
+                                   double idle_wait_seconds,
+                                   std::size_t threads)
+    : step_(std::move(step)), idle_wait_seconds_(idle_wait_seconds) {
+  const std::size_t count = threads == 0 ? 1 : threads;
+  threads_.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    threads_.emplace_back([this] { loop(); });
+  }
+}
 
 BackgroundWorker::~BackgroundWorker() { stop(); }
 
@@ -28,8 +33,10 @@ void BackgroundWorker::stop() {
     if (stop_) return;
     stop_ = true;
   }
-  cv_.notify_one();
-  if (thread_.joinable()) thread_.join();
+  cv_.notify_all();
+  for (std::thread& thread : threads_) {
+    if (thread.joinable()) thread.join();
+  }
 }
 
 void BackgroundWorker::loop() {

@@ -7,8 +7,8 @@
 //
 // No model is trained here: the live-server tests run against an EMPTY
 // registry, so every well-formed request is answered synchronously with
-// a typed unknown_model error and no shard worker ever touches a
-// pipeline. Two tests install an unfitted model and pump the shard by
+// a typed unknown_model error and no executor ever touches a
+// pipeline. Two tests install an unfitted model and pump the service by
 // hand: one lets the request's deadline expire before any model work,
 // the other lets the model call throw.
 // That keeps the whole suite cheap enough for the `sanitize` label
@@ -25,10 +25,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "flowgen/generator.hpp"
 #include "serve/net/client.hpp"
 #include "serve/net/server.hpp"
-#include "serve/shard.hpp"
+#include "serve/service.hpp"
 
 namespace repro::serve::wire {
 namespace {
@@ -359,27 +360,27 @@ TEST(WireProtocol, MalformedRequestPayloadsAreTypedErrors) {
 
 // --- Live-server conformance ----------------------------------------------
 
-/// A real SocketServer over 2 sharded lanes and an EMPTY registry: every
-/// well-formed request is rejected synchronously (unknown_model), so no
-/// background shard worker is needed — only the server's poll loop runs.
+/// A real SocketServer over a 2-worker service and an EMPTY registry:
+/// every well-formed request is rejected synchronously (unknown_model),
+/// so the workers are never started — only the server's poll loop runs.
 class SocketConformanceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ShardedConfig cfg;
-    cfg.lanes = 2;
-    cfg.service.batch.max_wait = 0.0;
-    cfg.service.flightrec_force = true;
-    sharded_ = std::make_unique<ShardedService>(registry_, cfg);
+    ServiceConfig cfg;
+    cfg.workers = 2;
+    cfg.batch.max_wait = 0.0;
+    cfg.flightrec_force = true;
+    service_ = std::make_unique<TraceService>(registry_, cfg);
     ServerConfig server_cfg;
     server_cfg.max_payload = 4096;  // small ceiling: cheap oversized tests
-    server_ = std::make_unique<SocketServer>(*sharded_, server_cfg);
+    server_ = std::make_unique<SocketServer>(*service_, server_cfg);
     server_->start();
   }
 
   void TearDown() override {
     server_->stop();
     server_.reset();
-    sharded_.reset();
+    service_.reset();
   }
 
   /// A well-formed request the empty registry rejects as unknown_model
@@ -393,7 +394,7 @@ class SocketConformanceTest : public ::testing::Test {
   }
 
   ModelRegistry registry_;
-  std::unique_ptr<ShardedService> sharded_;
+  std::unique_ptr<TraceService> service_;
   std::unique_ptr<SocketServer> server_;
 };
 
@@ -516,7 +517,7 @@ TEST_F(SocketConformanceTest, AbruptDisconnectMidFrameNeverWedges) {
 }
 
 TEST_F(SocketConformanceTest, FailedModelCallAnswersModelError) {
-  // Sampling an unfitted model throws; the shard stores the exception in
+  // Sampling an unfitted model throws; the service stores the exception in
   // the request's future. The server answers one typed model_error frame
   // carrying the exception's message and keeps serving, on the same
   // connection and on new ones.
@@ -526,12 +527,12 @@ TEST_F(SocketConformanceTest, FailedModelCallAnswersModelError) {
   BlockingClient client(server_->port());
   client.send(request);
   const auto waited_since = std::chrono::steady_clock::now();
-  while (sharded_->pending() == 0) {
+  while (service_->pending() == 0) {
     ASSERT_LT(std::chrono::steady_clock::now() - waited_since,
               std::chrono::seconds(10));
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(sharded_->pump(), 1u);
+  EXPECT_EQ(service_->pump(), 1u);
   const auto reply = client.read_reply(10.0);
   ASSERT_TRUE(reply.has_value());
   ASSERT_FALSE(reply->ok());
@@ -544,17 +545,37 @@ TEST_F(SocketConformanceTest, FailedModelCallAnswersModelError) {
   expect_conn_alive(fresh);
 }
 
+TEST_F(SocketConformanceTest, HealthReportsWorkersAndConnections) {
+  // One health document: the service's worker count beside the socket
+  // server's "connections" section, read with both executors running
+  // and a client connected over TCP.
+  service_->start();
+  BlockingClient client(server_->port());
+  expect_conn_alive(client);
+  const auto doc = parse_json(service_->health_json());
+  ASSERT_TRUE(doc.has_value());
+  ASSERT_NE(doc->find("workers"), nullptr);
+  EXPECT_EQ(doc->find("workers")->num_or(0), 2.0);
+  const JsonValue* conns = doc->find("connections");
+  ASSERT_NE(conns, nullptr);
+  EXPECT_EQ(conns->find("port")->num_or(0),
+            static_cast<double>(server_->port()));
+  EXPECT_GE(conns->find("opened")->num_or(0), 1.0);
+  EXPECT_GE(conns->find("frames_in")->num_or(0), 1.0);
+  EXPECT_GE(conns->find("frames_out")->num_or(0), 1.0);
+}
+
 TEST(SocketServerLoop, DeeplyNestedPayloadIsBadRequestNotACrash) {
   // A megabyte of '[' is a well-framed request whose JSON nests far
   // past kMaxJsonDepth: the reader refuses it without recursing that
   // deep, so the server answers bad_request and the connection lives.
   ModelRegistry registry;  // empty: a good request is unknown_model
-  ShardedConfig cfg;
-  cfg.service.batch.max_wait = 0.0;
-  ShardedService sharded(registry, cfg);
+  ServiceConfig cfg;
+  cfg.batch.max_wait = 0.0;
+  TraceService service(registry, cfg);
   ServerConfig server_cfg;
   server_cfg.max_payload = std::size_t{2} << 20;
-  SocketServer server(sharded, server_cfg);
+  SocketServer server(service, server_cfg);
   server.start();
 
   BlockingClient client(server.port());
@@ -579,10 +600,10 @@ TEST(SocketServerLoop, NonJsonNumberIsBadRequest) {
   // JSON number, so the server answers bad_request and the connection
   // lives.
   ModelRegistry registry;  // empty: a well-formed request is unknown_model
-  ShardedConfig cfg;
-  cfg.service.batch.max_wait = 0.0;
-  ShardedService sharded(registry, cfg);
-  SocketServer server(sharded, ServerConfig{});
+  ServiceConfig cfg;
+  cfg.batch.max_wait = 0.0;
+  TraceService service(registry, cfg);
+  SocketServer server(service, ServerConfig{});
   server.start();
 
   BlockingClient client(server.port());
@@ -602,22 +623,22 @@ TEST(SocketServerLoop, NonJsonNumberIsBadRequest) {
 
 TEST(SocketServerLoop, PendingReplyDoesNotSpinTheLoop) {
   // While a reply is pending the loop must sleep in poll() until the
-  // shard fulfils it, not spin: over a pending stretch of >= 50 ms it
+  // service fulfils it, not spin: over a pending stretch of >= 50 ms it
   // takes about one turn per poll_wait, never thousands.
   ModelRegistry registry;
-  // Never sampled: the request below expires before the shard runs it.
+  // Never sampled: the request below expires before the service runs it.
   registry.install("default", unfitted_model(), "v1");
-  ShardedConfig cfg;
-  cfg.service.batch.max_wait = 0.0;
-  ShardedService sharded(registry, cfg);  // pumped by hand below
+  ServiceConfig cfg;
+  cfg.batch.max_wait = 0.0;
+  TraceService service(registry, cfg);  // pumped by hand below
   ServerConfig server_cfg;
-  SocketServer server(sharded, server_cfg);
+  SocketServer server(service, server_cfg);
   server.start();
 
   BlockingClient client(server.port());
   client.send(sample_request(), /*deadline_ms=*/1.0);
   const auto waited_since = std::chrono::steady_clock::now();
-  while (sharded.pending() == 0) {
+  while (service.pending() == 0) {
     ASSERT_LT(std::chrono::steady_clock::now() - waited_since,
               std::chrono::seconds(10));
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -625,7 +646,7 @@ TEST(SocketServerLoop, PendingReplyDoesNotSpinTheLoop) {
   const std::uint64_t turns_before = server.loop_turns();
   const auto pending_since = std::chrono::steady_clock::now();
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  EXPECT_EQ(sharded.pump(), 1u);  // the expired request is cancelled
+  EXPECT_EQ(service.pump(), 1u);  // the expired request is cancelled
   const auto reply = client.read_reply(10.0);
   const double pending_s = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() -
@@ -641,7 +662,7 @@ TEST(SocketServerLoop, PendingReplyDoesNotSpinTheLoop) {
   EXPECT_LE(static_cast<double>(turns),
             2.0 * pending_s / server_cfg.poll_wait + 4.0)
       << turns << " loop turns in " << pending_s << " s";
-  EXPECT_NE(sharded.health_json().find("\"loop_turns\""), std::string::npos);
+  EXPECT_NE(service.health_json().find("\"loop_turns\""), std::string::npos);
 }
 
 }  // namespace

@@ -1,20 +1,21 @@
-// Sharded-serving determinism conformance: the same request set must
-// produce bit-identical per-request bytes at 1, 2, and 8 worker lanes,
-// with shuffled arrival orders, in-process AND over the socket, for
-// both the DDIM and DDPM sampler paths — always equal to the direct
-// library call. Plus the sharding invariants the contract depends on:
-// stable (model, class) routing, cache hits identical to cold misses,
-// registry hot-swap during in-flight sharded batches, one reply per
-// frame under an open-loop socket burst into small queues, and a merged
-// flight dump that covers every wire request.
-#include "serve/shard.hpp"
+// Executor-count determinism conformance: the same request set must
+// produce bit-identical per-request bytes with 1, 2, and 8 started
+// workers pumping the one queue, with shuffled arrival orders,
+// in-process AND over the socket, for both the DDIM and DDPM sampler
+// paths — always equal to the direct library call. Plus the invariants
+// K executors over one queue depend on: one hot key spreads over more
+// than one executor, cache hits identical to cold misses, registry
+// hot-swap during in-flight batches, one reply per frame under an
+// open-loop socket burst into a small queue, and one flight dump that
+// covers every wire request.
+#include "serve/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <map>
 #include <memory>
-#include <numeric>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,8 +60,8 @@ flowgen::Dataset tiny_dataset(std::size_t per_class) {
   return ds;
 }
 
-/// Arrival order for a given lane count: a fixed permutation that
-/// differs per lane count (stride 5 is coprime with the set size), so
+/// Arrival order for a given worker count: a fixed permutation that
+/// differs per worker count (stride 5 is coprime with the set size), so
 /// each configuration sees the requests in a different shuffle.
 std::vector<std::size_t> arrival_order(std::size_t n, std::size_t salt) {
   std::vector<std::size_t> order(n);
@@ -96,9 +97,9 @@ class ShardTest : public ::testing::Test {
     return out;
   }
 
-  /// Library-side reference hash per request. Computed BEFORE any shard
-  /// worker runs — the references are the ground truth every transport
-  /// and lane count must reproduce.
+  /// Library-side reference hash per request. Computed BEFORE any
+  /// executor runs — the references are the ground truth every
+  /// transport and worker count must reproduce.
   static std::vector<std::uint64_t> library_hashes(
       const std::vector<GenerateRequest>& requests) {
     std::vector<std::uint64_t> out;
@@ -114,11 +115,11 @@ class ShardTest : public ::testing::Test {
     return out;
   }
 
-  static ShardedConfig sharded_config(std::size_t lanes) {
-    ShardedConfig cfg;
-    cfg.lanes = lanes;
-    cfg.service.batch.max_wait = 0.0;
-    cfg.service.cache_capacity = 0;  // cold path unless a test opts in
+  static ServiceConfig service_config(std::size_t workers) {
+    ServiceConfig cfg;
+    cfg.workers = workers;
+    cfg.batch.max_wait = 0.0;
+    cfg.cache_capacity = 0;  // cold path unless a test opts in
     return cfg;
   }
 
@@ -128,66 +129,103 @@ class ShardTest : public ::testing::Test {
 
 std::shared_ptr<diffusion::TraceDiffusion> ShardTest::pipeline_;
 
-TEST_F(ShardTest, RoutingIsStableAndNeverSplitsABatchKey) {
-  const ShardRing ring(8, 16);
-  const ShardRing again(8, 16);
-  std::set<std::size_t> hit;
-  for (int class_id = 0; class_id < 64; ++class_id) {
-    const std::size_t shard = ring.shard_of("default", class_id);
-    EXPECT_LT(shard, 8u);
-    // The ring is a pure function of (model, class): a rebuilt ring
-    // (lane restart, another process) routes identically.
-    EXPECT_EQ(shard, again.shard_of("default", class_id));
-    hit.insert(shard);
-  }
-  // 64 keys over 8 shards with 16 vnodes each must actually spread.
-  EXPECT_GE(hit.size(), 4u);
-  // Different models may not collapse onto the same hash.
-  EXPECT_NE(shard_key_hash("default", 0), shard_key_hash("default", 1));
-  EXPECT_NE(shard_key_hash("a", 0), shard_key_hash("b", 0));
-}
-
 TEST_F(ShardTest, InProcessLanesProduceBitIdenticalResponses) {
   const auto requests = request_set();
   const auto reference = library_hashes(requests);
 
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{8}}) {
-    ShardedService sharded(registry_, sharded_config(lanes));
-    const auto order = arrival_order(requests.size(), lanes);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{8}}) {
+    TraceService service(registry_, service_config(workers));
+    const auto order = arrival_order(requests.size(), workers);
     std::vector<SubmitResult> results(requests.size());
     for (const std::size_t k : order) {
-      results[k] = sharded.submit(requests[k]);
-      ASSERT_TRUE(results[k].accepted) << "lanes=" << lanes << " k=" << k;
+      results[k] = service.submit(requests[k]);
+      ASSERT_TRUE(results[k].accepted) << "workers=" << workers << " k=" << k;
     }
-    sharded.drain();
+    // The executors race for the queued batches; the futures are the
+    // only synchronization the test needs.
+    service.start();
     for (std::size_t k = 0; k < requests.size(); ++k) {
       const Response resp = results[k].response.get();
       ASSERT_EQ(resp.status, ResponseStatus::kOk);
       EXPECT_FALSE(resp.cache_hit);
       EXPECT_EQ(wire::hash_flows(resp.flows), reference[k])
-          << "request " << k << " diverged from the library at " << lanes
-          << " lanes";
+          << "request " << k << " diverged from the library at " << workers
+          << " workers";
+    }
+    service.stop();
+  }
+}
+
+TEST_F(ShardTest, OneHotKeyRunsOnMoreThanOneExecutor) {
+  // Sixteen one-flow requests of ONE (model, class, sampler, steps) key,
+  // queued before two executors start, one flow per model call: both
+  // executors take batches of the hot key, so at least two
+  // model_start..model_end intervals in the flight dump overlap in time.
+  constexpr std::size_t kRequests = 16;
+  ServiceConfig cfg = service_config(2);
+  cfg.batch.max_batch_flows = 1;
+  cfg.queue_capacity = kRequests;
+  cfg.flightrec_force = true;
+  std::vector<GenerateRequest> requests(kRequests);
+  for (std::size_t k = 0; k < kRequests; ++k) {
+    requests[k].seed = 7000 + k;
+    requests[k].ddim_steps = 20;
+  }
+  const auto reference = library_hashes(requests);
+  TraceService service(registry_, cfg);
+  std::vector<SubmitResult> results(kRequests);
+  for (std::size_t k = 0; k < kRequests; ++k) {
+    results[k] = service.submit(requests[k]);
+    ASSERT_TRUE(results[k].accepted) << "k=" << k;
+  }
+  service.start();
+  for (std::size_t k = 0; k < kRequests; ++k) {
+    const Response resp = results[k].response.get();
+    ASSERT_EQ(resp.status, ResponseStatus::kOk);
+    EXPECT_EQ(resp.batch_flows, 1u);
+    EXPECT_EQ(wire::hash_flows(resp.flows), reference[k]) << "request " << k;
+  }
+  service.stop();
+
+  std::map<std::uint64_t, std::pair<double, double>> calls;
+  for (const observe::FlightEvent& event :
+       service.flight_recorder().dump()) {
+    if (event.kind == observe::EventKind::kModelStart) {
+      calls[event.batch_id].first = event.time;
+    } else if (event.kind == observe::EventKind::kModelEnd) {
+      calls[event.batch_id].second = event.time;
     }
   }
+  ASSERT_EQ(calls.size(), kRequests);
+  std::vector<std::pair<double, double>> intervals;
+  for (const auto& entry : calls) intervals.push_back(entry.second);
+  std::sort(intervals.begin(), intervals.end());
+  std::size_t overlaps = 0;
+  double latest_end = intervals.front().second;
+  for (std::size_t i = 1; i < intervals.size(); ++i) {
+    if (intervals[i].first < latest_end) ++overlaps;
+    latest_end = std::max(latest_end, intervals[i].second);
+  }
+  EXPECT_GE(overlaps, 1u) << "the hot key ran on one executor at a time";
 }
 
 TEST_F(ShardTest, OverSocketLanesProduceBitIdenticalBytes) {
   const auto requests = request_set();
   const auto reference = library_hashes(requests);
 
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{8}}) {
-    ShardedService sharded(registry_, sharded_config(lanes));
-    wire::SocketServer server(sharded, wire::ServerConfig{});
-    sharded.start();
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{8}}) {
+    TraceService service(registry_, service_config(workers));
+    wire::SocketServer server(service, wire::ServerConfig{});
+    service.start();
     server.start();
 
     // Pipelined shuffled burst on one connection. Trace ids are minted
-    // at frame decode from the fleet allocator (fresh service: ids
-    // 1..n in send order), so reply request_id j+1 <=> order[j] even
-    // when sharded completion reorders the replies.
-    const auto order = arrival_order(requests.size(), lanes);
+    // at frame decode (fresh service: ids 1..n in send order), so reply
+    // request_id j+1 <=> order[j] even when concurrent executors
+    // reorder the replies.
+    const auto order = arrival_order(requests.size(), workers);
     wire::BlockingClient client(server.port());
     for (const std::size_t k : order) {
       client.send(requests[k]);
@@ -195,9 +233,9 @@ TEST_F(ShardTest, OverSocketLanesProduceBitIdenticalBytes) {
     std::vector<bool> seen(requests.size(), false);
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const auto reply = client.read_reply(120.0);
-      ASSERT_TRUE(reply.has_value()) << "lanes=" << lanes;
+      ASSERT_TRUE(reply.has_value()) << "workers=" << workers;
       ASSERT_TRUE(reply->ok())
-          << "lanes=" << lanes << ": " << reply->error->error;
+          << "workers=" << workers << ": " << reply->error->error;
       const wire::WireResponse& resp = *reply->response;
       ASSERT_EQ(resp.status, "ok");
       ASSERT_GE(resp.request_id, 1u);
@@ -206,79 +244,83 @@ TEST_F(ShardTest, OverSocketLanesProduceBitIdenticalBytes) {
       EXPECT_FALSE(seen[k]) << "duplicate reply for request " << k;
       seen[k] = true;
       EXPECT_EQ(wire::hash_wire_flows(resp.flows), reference[k])
-          << "request " << k << " diverged over the socket at " << lanes
-          << " lanes";
+          << "request " << k << " diverged over the socket at " << workers
+          << " workers";
     }
     server.stop();
-    sharded.stop();
+    service.stop();
   }
 }
 
 TEST_F(ShardTest, OpenLoopSocketBurstAnswersEveryFrameOnce) {
   // Open-loop overload over the wire: every connection pipelines its
-  // share of the burst before reading anything, into queues small
-  // enough that a burst on one lane can overflow. Every frame must get
-  // exactly one reply on its own connection, typed ok or queue_full:
-  // nothing dropped, nothing duplicated, nothing hung.
+  // share of the burst before reading anything, into a queue small
+  // enough that the burst can overflow it, drained by 1 or 4 executors.
+  // Every frame must get exactly one reply on its own connection, typed
+  // ok or queue_full: nothing dropped, nothing duplicated, nothing hung.
   constexpr std::size_t kRequests = 12;
-  for (const std::size_t conns : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{8}}) {
-    ShardedConfig cfg = sharded_config(2);
-    cfg.service.queue_capacity = kRequests / 2 + 1;
-    cfg.service.batch.max_batch_flows = 4;
-    ShardedService sharded(registry_, cfg);
-    wire::SocketServer server(sharded, wire::ServerConfig{});
-    sharded.start();
-    server.start();
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t conns : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{8}}) {
+      ServiceConfig cfg = service_config(workers);
+      cfg.queue_capacity = kRequests / 2 + 1;
+      cfg.batch.max_batch_flows = 4;
+      TraceService service(registry_, cfg);
+      wire::SocketServer server(service, wire::ServerConfig{});
+      service.start();
+      server.start();
 
-    std::vector<std::unique_ptr<wire::BlockingClient>> clients;
-    for (std::size_t c = 0; c < conns; ++c) {
-      clients.push_back(std::make_unique<wire::BlockingClient>(server.port()));
-    }
-    std::vector<std::size_t> sent(conns, 0);
-    for (std::size_t i = 0; i < kRequests; ++i) {
-      GenerateRequest r;
-      r.class_id = static_cast<int>(i % 2);
-      r.seed = 9000 + conns * 100 + i;
-      r.ddim_steps = 4;
-      clients[i % conns]->send(r);
-      ++sent[i % conns];
-    }
-
-    // A fresh service mints trace ids 1..n at frame decode, and both
-    // reply kinds carry theirs: the ids seen must be exactly 1..n.
-    std::vector<bool> answered(kRequests + 1, false);
-    std::size_t ok = 0;
-    for (std::size_t c = 0; c < conns; ++c) {
-      for (std::size_t k = 0; k < sent[c]; ++k) {
-        const auto reply = clients[c]->read_reply(60.0);
-        ASSERT_TRUE(reply.has_value())
-            << "conns=" << conns << ": frame left unanswered";
-        std::uint64_t id = 0;
-        if (reply->ok()) {
-          EXPECT_EQ(reply->response->status, "ok");
-          ++ok;
-          id = reply->response->request_id;
-        } else {
-          EXPECT_EQ(reply->error->error, "queue_full");
-          id = reply->error->request_id;
-        }
-        ASSERT_GE(id, 1u);
-        ASSERT_LE(id, kRequests);
-        EXPECT_FALSE(answered[id]) << "duplicate reply for id " << id;
-        answered[id] = true;
+      std::vector<std::unique_ptr<wire::BlockingClient>> clients;
+      for (std::size_t c = 0; c < conns; ++c) {
+        clients.push_back(
+            std::make_unique<wire::BlockingClient>(server.port()));
       }
+      std::vector<std::size_t> sent(conns, 0);
+      for (std::size_t i = 0; i < kRequests; ++i) {
+        GenerateRequest r;
+        r.class_id = static_cast<int>(i % 2);
+        r.seed = 9000 + workers * 1000 + conns * 100 + i;
+        r.ddim_steps = 4;
+        clients[i % conns]->send(r);
+        ++sent[i % conns];
+      }
+
+      // A fresh service mints trace ids 1..n at frame decode, and both
+      // reply kinds carry theirs: the ids seen must be exactly 1..n.
+      std::vector<bool> answered(kRequests + 1, false);
+      std::size_t ok = 0;
+      for (std::size_t c = 0; c < conns; ++c) {
+        for (std::size_t k = 0; k < sent[c]; ++k) {
+          const auto reply = clients[c]->read_reply(60.0);
+          ASSERT_TRUE(reply.has_value())
+              << "workers=" << workers << " conns=" << conns
+              << ": frame left unanswered";
+          std::uint64_t id = 0;
+          if (reply->ok()) {
+            EXPECT_EQ(reply->response->status, "ok");
+            ++ok;
+            id = reply->response->request_id;
+          } else {
+            EXPECT_EQ(reply->error->error, "queue_full");
+            id = reply->error->request_id;
+          }
+          ASSERT_GE(id, 1u);
+          ASSERT_LE(id, kRequests);
+          EXPECT_FALSE(answered[id]) << "duplicate reply for id " << id;
+          answered[id] = true;
+        }
+      }
+      EXPECT_GE(ok, 1u) << "workers=" << workers << " conns=" << conns;
+      server.stop();
+      service.stop();
     }
-    EXPECT_GE(ok, 1u) << "conns=" << conns;
-    server.stop();
-    sharded.stop();
   }
 }
 
 TEST_F(ShardTest, MergedSocketDumpCoversEveryWireRequest) {
-  // The merged flight dump (frontend connection events + both shards)
-  // of a 2-lane service over TCP. Connection 1 makes synchronous calls,
-  // sends a malformed payload the protocol layer answers with a typed
+  // The one flight dump (connection, frame and service events in one
+  // ring) of a 2-worker service over TCP. Connection 1 makes synchronous
+  // calls, sends a malformed payload the protocol layer answers with a typed
   // bad_request, and is then served again; connection 2 pipelines a
   // burst. Every wire request, the rejected one included, must have a
   // complete timeline, and both connections must be closed and
@@ -286,11 +328,11 @@ TEST_F(ShardTest, MergedSocketDumpCoversEveryWireRequest) {
   // repro_trace_inspect --expect-complete applies).
   const auto requests = request_set();
   const auto reference = library_hashes(requests);
-  ShardedConfig cfg = sharded_config(2);
-  cfg.service.flightrec_force = true;
-  ShardedService sharded(registry_, cfg);
-  wire::SocketServer server(sharded, wire::ServerConfig{});
-  sharded.start();
+  ServiceConfig cfg = service_config(2);
+  cfg.flightrec_force = true;
+  TraceService service(registry_, cfg);
+  wire::SocketServer server(service, wire::ServerConfig{});
+  service.start();
   server.start();
   telemetry::Counter& bytes_out =
       telemetry::Registry::instance().counter("serve.net.bytes_out");
@@ -336,10 +378,11 @@ TEST_F(ShardTest, MergedSocketDumpCoversEveryWireRequest) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   server.stop();
-  sharded.stop();
+  service.stop();
   EXPECT_GT(bytes_out.value(), bytes_out_before);
 
-  const auto dump = observe::parse_flight_dump(sharded.flight_dump_json());
+  const auto dump =
+      observe::parse_flight_dump(service.flight_recorder().dump_json());
   ASSERT_TRUE(dump.has_value());
   EXPECT_EQ(dump->overwritten, 0u);
   const observe::InspectReport report = observe::reconstruct(dump->events);
@@ -347,7 +390,7 @@ TEST_F(ShardTest, MergedSocketDumpCoversEveryWireRequest) {
   EXPECT_FALSE(why.has_value()) << why.value_or("");
   EXPECT_EQ(report.requests.size(), sent);
   EXPECT_EQ(report.connections.size(), 2u);
-  // The rejected request never reached a shard: it is the one wire
+  // The rejected request never reached the queue: it is the one wire
   // timeline without a batch.
   std::size_t unbatched = 0;
   for (const observe::RequestTimeline& timeline : report.requests) {
@@ -359,18 +402,18 @@ TEST_F(ShardTest, MergedSocketDumpCoversEveryWireRequest) {
 
 TEST_F(ShardTest, CacheHitServesBytesIdenticalToColdMiss) {
   const auto requests = request_set();
-  ShardedConfig cfg = sharded_config(2);
-  cfg.service.cache_capacity = 64;
-  ShardedService sharded(registry_, cfg);
+  ServiceConfig cfg = service_config(2);
+  cfg.cache_capacity = 64;
+  TraceService service(registry_, cfg);
 
   std::vector<std::uint64_t> cold(requests.size());
   {
     std::vector<SubmitResult> results(requests.size());
     for (std::size_t k = 0; k < requests.size(); ++k) {
-      results[k] = sharded.submit(requests[k]);
+      results[k] = service.submit(requests[k]);
       ASSERT_TRUE(results[k].accepted);
     }
-    sharded.drain();
+    service.drain();
     for (std::size_t k = 0; k < requests.size(); ++k) {
       const Response resp = results[k].response.get();
       ASSERT_EQ(resp.status, ResponseStatus::kOk);
@@ -378,34 +421,34 @@ TEST_F(ShardTest, CacheHitServesBytesIdenticalToColdMiss) {
       cold[k] = wire::hash_flows(resp.flows);
     }
   }
-  // Resubmitting the identical set hits every shard's cache — ready
-  // without a pump, bytes identical to the cold run.
+  // Resubmitting the identical set hits the cache — ready without a
+  // pump, bytes identical to the cold run.
   for (std::size_t k = 0; k < requests.size(); ++k) {
-    auto r = sharded.submit(requests[k]);
+    auto r = service.submit(requests[k]);
     ASSERT_TRUE(r.accepted);
     const Response resp = r.response.get();
     ASSERT_EQ(resp.status, ResponseStatus::kOk);
     EXPECT_TRUE(resp.cache_hit) << "request " << k;
     EXPECT_EQ(wire::hash_flows(resp.flows), cold[k]) << "request " << k;
   }
-  EXPECT_EQ(sharded.pending(), 0u);
+  EXPECT_EQ(service.pending(), 0u);
 }
 
 TEST_F(ShardTest, HotSwapDuringInFlightShardedBatchesCompletesCleanly) {
   const auto requests = request_set();
   const auto reference = library_hashes(requests);
 
-  ShardedService sharded(registry_, sharded_config(2));
+  TraceService service(registry_, service_config(2));
   const auto old_snap = registry_.snapshot("default");
   ASSERT_NE(old_snap, nullptr);
-  sharded.start();
+  service.start();
 
   std::vector<SubmitResult> results(requests.size());
   for (std::size_t k = 0; k < requests.size(); ++k) {
-    results[k] = sharded.submit(requests[k]);
+    results[k] = service.submit(requests[k]);
     ASSERT_TRUE(results[k].accepted);
   }
-  // Swap while the shard workers are mid-burst: a batch that already
+  // Swap while the executors are mid-burst: a batch that already
   // captured the v1 snapshot completes on it; batches formed after the
   // swap serve v2. Either way every byte is the library's.
   registry_.install("default", pipeline_, "v2");
@@ -418,7 +461,7 @@ TEST_F(ShardTest, HotSwapDuringInFlightShardedBatchesCompletesCleanly) {
     EXPECT_EQ(wire::hash_flows(resp.flows), reference[k])
         << "request " << k << " diverged across the hot-swap";
   }
-  sharded.stop();
+  service.stop();
   // The snapshot in-flight batches held is still alive and untouched.
   EXPECT_EQ(old_snap->version, "v1");
 }

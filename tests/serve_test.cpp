@@ -240,6 +240,43 @@ TEST_F(ServeTest, RepeatedRequestIsCacheHitWithIdenticalPayload) {
   EXPECT_FALSE(third.response.get().cache_hit);
 }
 
+TEST_F(ServeTest, CacheKeyNamesTheModel) {
+  // Two registry entries may share a version string. A request to "b"
+  // that matches an earlier request to "a" in everything but the model
+  // must run b's pipeline, not be answered from a's cached flows.
+  diffusion::PipelineConfig other_cfg = tiny_config();
+  other_cfg.seed = 6;
+  const auto other = std::make_shared<diffusion::TraceDiffusion>(
+      other_cfg, std::vector<std::string>{"netflix", "teams"});
+  other->fit(tiny_dataset(4));
+  registry_.install("a", pipeline_, "v1");
+  registry_.install("b", other, "v1");
+  diffusion::GenerateOptions lib_opts;
+  lib_opts.ddim_steps = 4;
+  const std::uint64_t a_hash =
+      hash_flows(pipeline_->generate_seeded(0, lib_opts, 321));
+  const std::uint64_t b_hash =
+      hash_flows(other->generate_seeded(0, lib_opts, 321));
+  ASSERT_NE(a_hash, b_hash);
+
+  TraceService service(registry_, fast_config());
+  GenerateRequest to_a = request(0, 321);
+  to_a.model = "a";
+  GenerateRequest to_b = to_a;
+  to_b.model = "b";
+  auto first = service.submit(to_a);
+  ASSERT_TRUE(first.accepted);
+  service.drain();
+  EXPECT_EQ(hash_flows(first.response.get().flows), a_hash);
+
+  auto second = service.submit(to_b);
+  ASSERT_TRUE(second.accepted);
+  service.drain();
+  const Response resp = second.response.get();
+  EXPECT_FALSE(resp.cache_hit);
+  EXPECT_EQ(hash_flows(resp.flows), b_hash);
+}
+
 TEST_F(ServeTest, FullQueueRejectsTypedWithoutDroppingAcceptedWork) {
   ServiceConfig cfg = fast_config();
   cfg.queue_capacity = 3;
@@ -793,7 +830,7 @@ TEST(ResultCacheTest, LruEvictsLeastRecentlyUsed) {
   ResultCache cache(2);
   net::Flow f;
   f.label = 7;
-  CacheKey a{"v1", 0, 1, diffusion::SamplerKind::kDdim, 4, 1};
+  CacheKey a{"default", "v1", 0, 1, diffusion::SamplerKind::kDdim, 4, 1};
   CacheKey b = a;
   b.seed = 2;
   CacheKey c = a;

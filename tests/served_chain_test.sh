@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # The serving CLIs chained end to end: repro_served (toy model, <lanes>
-# worker lanes) -> two repro_client connections. Fails unless every
+# executor threads) -> two repro_client connections. Fails unless every
 # reply is ok and the daemon exits cleanly on stdin EOF; the flight dump
 # it writes on exit is left at <work-dir>/flightrec.json for
 # repro_trace_inspect --expect-complete.

@@ -110,7 +110,7 @@ constexpr RuleDoc kDocs[] = {
      "is self-contained; refactors ripple unboundedly"},
     {"RL021", "layer-violation",
      "include violates the layering manifest (tools/lint/layers.txt)",
-     "the sharded serving stack depends on lower layers never reaching "
+     "the serving stack depends on lower layers never reaching "
      "up; one upward include couples every release of both layers"},
     {"RL022", "non-self-contained",
      "self-containment violation (companion header not included first, "

@@ -1,6 +1,6 @@
 // repro_served — daemon for the trace-generation service: loads (or
-// trains) a model into the ModelRegistry, fans requests across N
-// sharded worker lanes, and fronts them with the socket server
+// trains) a model into the ModelRegistry, drains one request queue with
+// N executor threads, and fronts it with the socket server
 // (length-prefixed frame protocol, see src/serve/net/protocol.hpp).
 //
 // Usage:
@@ -11,17 +11,18 @@
 // Binds 127.0.0.1 on REPRO_SERVE_PORT (else an ephemeral port) and
 // prints "serve: listening on 127.0.0.1:PORT" once it accepts. Without
 // --checkpoint it serves a toy model trained at startup (classes 0 and
-// 1). Every line read on stdin prints the fleet health snapshot as JSON
-// (worst-lane SLO status, per-shard counters, connection section); EOF
-// on stdin stops the daemon, which then prints the serving counters and
-// writes SERVED_report.json (respecting REPRO_BENCH_DIR). Drive it with
-// tools/repro_client.
+// 1). Every line read on stdin prints the health snapshot as JSON (SLO
+// status, worker count, request counters, per-lane latencies,
+// connection section); EOF on stdin stops the daemon, which then prints
+// the serving counters and writes SERVED_report.json (respecting
+// REPRO_BENCH_DIR). Drive it with tools/repro_client.
 //
-// Options: --lanes N worker lanes (default REPRO_SERVE_LANES, else 1),
-//          --batch N max flows per model call (8), --queue N capacity
-//          per lane (64), --lora PATH adapter overlay on the checkpoint,
-//          --dump-flightrec [PATH] on exit, write the MERGED flight
-//          recorder dump (frontend connection events + every shard;
+// Options: --lanes N executor threads over the one queue (default
+//          REPRO_SERVE_LANES, else 1), --batch N max flows per model
+//          call (8), --queue N queue capacity for the whole service
+//          (64), --lora PATH adapter overlay on the checkpoint,
+//          --dump-flightrec [PATH] on exit, write the flight recorder
+//          dump (connection, frame and service events in one ring;
 //          default FLIGHTREC_dump.json, respecting REPRO_BENCH_DIR) for
 //          tools/repro_trace_inspect.
 #include <cstdio>
@@ -36,7 +37,7 @@
 #include "flowgen/dataset.hpp"
 #include "flowgen/generator.hpp"
 #include "serve/net/server.hpp"
-#include "serve/shard.hpp"
+#include "serve/service.hpp"
 
 using namespace repro;
 
@@ -90,8 +91,8 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
-void print_stats(serve::ShardedService& sharded) {
-  const auto& stats = sharded.shard(0).stats();  // registry-backed globals
+void print_stats(serve::TraceService& service) {
+  const auto& stats = service.stats();  // registry-backed globals
   const auto latency = stats.latency.snapshot();
   const auto batch = stats.batch_size.snapshot();
   std::printf("serve: completed=%llu cache_hits=%llu rejected_full=%llu "
@@ -158,43 +159,44 @@ int run(int argc, char** argv) {
     std::printf("serve: trained toy model (2 classes)\n");
   }
 
-  serve::ShardedConfig shard_cfg;
-  shard_cfg.lanes = lanes == 0 ? 1 : lanes;
-  shard_cfg.service.queue_capacity = queue;
-  shard_cfg.service.batch.max_batch_flows = max_batch;
-  shard_cfg.service.batch.max_wait = 0.001;
-  shard_cfg.service.worker_idle_wait = 0.002;
-  // The health snapshot and --dump-flightrec read the recorders, so
-  // they are armed regardless of REPRO_TELEMETRY.
-  shard_cfg.service.flightrec_force = true;
-  serve::ShardedService sharded(registry, shard_cfg);
+  serve::ServiceConfig service_cfg;
+  service_cfg.workers = lanes == 0 ? 1 : lanes;
+  service_cfg.queue_capacity = queue;
+  service_cfg.batch.max_batch_flows = max_batch;
+  service_cfg.batch.max_wait = 0.001;
+  service_cfg.worker_idle_wait = 0.002;
+  // The health snapshot and --dump-flightrec read the recorder, so it
+  // is armed regardless of REPRO_TELEMETRY.
+  service_cfg.flightrec_force = true;
+  serve::TraceService service(registry, service_cfg);
 
   {
     serve::wire::ServerConfig server_cfg;
     server_cfg.port = static_cast<std::uint16_t>(port);
-    serve::wire::SocketServer server(sharded, server_cfg);
+    serve::wire::SocketServer server(service, server_cfg);
+    service.start();
     server.start();
-    sharded.start();
-    std::printf("serve: listening on 127.0.0.1:%u (%zu lanes)\n",
-                server.port(), sharded.lanes());
+    std::printf("serve: listening on 127.0.0.1:%u (%zu workers)\n",
+                server.port(), service.config().workers);
     std::printf("serve: close stdin (Ctrl-D) to stop\n");
     std::fflush(stdout);
     char line[256];
     while (std::fgets(line, sizeof line, stdin) != nullptr) {
-      std::printf("%s\n", sharded.health_json().c_str());
+      std::printf("%s\n", service.health_json().c_str());
       std::fflush(stdout);
     }
     // The server's destructor closes every connection its loop has not
     // reaped yet, so each one's conn_closed is in the dump below.
   }
-  sharded.stop();
-  print_stats(sharded);
+  service.stop();
+  print_stats(service);
 
   if (dump_flightrec) {
     const std::string dump_path =
         flightrec_path.empty() ? telemetry::report_path("FLIGHTREC_dump.json")
                                : flightrec_path;
-    if (!telemetry::write_text_file(dump_path, sharded.flight_dump_json())) {
+    if (!telemetry::write_text_file(dump_path,
+                                    service.flight_recorder().dump_json())) {
       std::fprintf(stderr, "repro_served: cannot write %s\n",
                    dump_path.c_str());
       return 1;
