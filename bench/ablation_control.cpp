@@ -8,7 +8,9 @@
 //
 // Measured: protocol-template compliance of generated flows and the
 // Synthetic/Real transfer accuracy (does the constraint machinery make
-// the synthetic data more useful downstream?).
+// the synthetic data more useful downstream?). All four variants share
+// the base seed bench::kSynSeed, so each flow starts from the same noise
+// in every variant and the comparison is paired.
 #include "bench_common.hpp"
 
 #include "eval/report.hpp"
@@ -69,7 +71,7 @@ int main() {
     opts.constraint = variant.constraint;
     const flowgen::Dataset syn = pipeline.generate_dataset(
         std::vector<std::size_t>(flowgen::kNumApps, scale.syn_per_class),
-        opts);
+        opts, bench::kSynSeed);
 
     // Template compliance across all generated flows.
     std::size_t compliant = 0, total = 0;

@@ -90,7 +90,10 @@ int main() {
     double true_prob = 0.0;
     std::string per_class;
     for (int cls : {kHeldOutA, kHeldOutB}) {
-      const auto flows = pipeline.generate(cls, opts);
+      const auto flows = pipeline.generate_seeded(
+          cls, opts,
+          diffusion::fork_flow_seed(bench::kSynSeed,
+                                    static_cast<std::size_t>(cls)));
       const auto features =
           ml::nprint_features(flows, sc.nprint_packets);
       std::size_t cls_hits = 0;

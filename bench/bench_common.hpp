@@ -72,6 +72,13 @@ inline diffusion::PipelineConfig pipeline_config(const Scale& scale) {
   return cfg;
 }
 
+/// Base seed of every bench's synthetic set. Class c of
+/// generate_dataset(per_class, opts, kSynSeed) is generate_seeded(c,
+/// opts, fork_flow_seed(kSynSeed, c)), so any class slice can be
+/// regenerated on its own (or through the server), and variants that
+/// share it start from the same noise.
+inline constexpr std::uint64_t kSynSeed = 2023;
+
 inline diffusion::GenerateOptions generate_options(const Scale& scale) {
   diffusion::GenerateOptions opts;
   opts.sampler = diffusion::SamplerKind::kDdim;

@@ -7,7 +7,9 @@
 // from the same fitted pipeline. check.sh runs this as the `fastpath`
 // stage.
 //
-// Routes compared (same pipeline, same seeds, same real split):
+// Routes compared (same pipeline, same real split, and the same base
+// seed bench::kSynSeed, so both routes start every synthetic flow from
+// the same noise and the gate compares the same flows):
 //   fp32_ddim20   — the reference route (baseline)
 //   fp32_distill5 — 5-step distilled sampler
 #include "bench_common.hpp"
@@ -110,7 +112,7 @@ int main() {
     opts.ddim_steps = route.steps;
     const flowgen::Dataset syn = pipeline.generate_dataset(
         std::vector<std::size_t>(flowgen::kNumApps, scale.syn_per_class),
-        opts);
+        opts, bench::kSynSeed);
     RouteScores scores;
     scores.key = route.key;
     for (std::size_t rep = 0; rep < rf_repeats; ++rep) {

@@ -56,7 +56,7 @@ int main() {
   pipeline.fit(train_ds.sample_per_class(scale.train_per_class, cap_rng));
   const flowgen::Dataset ours = pipeline.generate_dataset(
       std::vector<std::size_t>(flowgen::kNumApps, scale.syn_per_class),
-      bench::generate_options(scale));
+      bench::generate_options(scale), bench::kSynSeed);
   const auto ours_records = gan::to_netflow(ours.flows);
 
   // --- Per-feature marginal table. ---

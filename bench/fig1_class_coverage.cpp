@@ -66,7 +66,7 @@ int main() {
   pipeline.fit(capped);
   const flowgen::Dataset ours_syn = pipeline.generate_dataset(
       std::vector<std::size_t>(flowgen::kNumApps, scale.syn_per_class),
-      bench::generate_options(scale));
+      bench::generate_options(scale), bench::kSynSeed);
   // Count only decodable flows — an empty generation would silently skew
   // the distribution, so it must show up here.
   std::vector<int> ours_labels;
@@ -112,7 +112,7 @@ int main() {
     pipeline2.fit(real2.sample_per_class(scale.train_per_class, cap2));
     const auto syn2 = pipeline2.generate_dataset(
         {scale.syn_per_class, scale.syn_per_class},
-        bench::generate_options(scale));
+        bench::generate_options(scale), bench::kSynSeed);
     std::vector<int> syn2_labels;
     for (const auto& flow : syn2.flows) {
       if (!flow.packets.empty()) syn2_labels.push_back(flow.label);

@@ -13,6 +13,7 @@
 
 #include "diffusion/constraint.hpp"
 #include "eval/report.hpp"
+#include "nprint/codec.hpp"
 #include "nprint/image.hpp"
 
 using namespace repro;
@@ -53,10 +54,17 @@ int main() {
 
   // --- The Figure 2 artifact: one Amazon flow image. ---
   report.stage("generate_image");
+  // The first flow of the Amazon set the compliance sweep below draws.
   const int amazon = static_cast<int>(flowgen::App::kAmazon);
-  diffusion::ProtocolTemplate used;
-  const nprint::Matrix matrix = pipeline.generate_matrix(
-      amazon, bench::generate_options(scale), &used);
+  const std::uint64_t amazon_seed = diffusion::fork_flow_seed(
+      bench::kSynSeed, static_cast<std::size_t>(amazon));
+  const net::Flow amazon_flow =
+      pipeline.generate_seeded(amazon, bench::generate_options(scale),
+                               amazon_seed)
+          .front();
+  const nprint::Matrix matrix =
+      nprint::encode_flow(amazon_flow, scale.packets, /*pad_to_max=*/true);
+  const diffusion::ProtocolTemplate& used = pipeline.class_template(amazon);
   // Artifacts never land in the working directory: honor
   // REPRO_BENCH_DIR like every report, else collect under reports/.
   std::string ppm_path = telemetry::report_path("fig2_amazon_synthetic.ppm");
@@ -91,7 +99,9 @@ int main() {
   for (std::size_t cls = 0; cls < flowgen::kNumApps; ++cls) {
     diffusion::GenerateOptions opts = bench::generate_options(scale);
     opts.count = scale.syn_per_class;
-    const auto flows = pipeline.generate(static_cast<int>(cls), opts);
+    const auto flows = pipeline.generate_seeded(
+        static_cast<int>(cls), opts,
+        diffusion::fork_flow_seed(bench::kSynSeed, cls));
     const auto& tmpl = pipeline.class_template(static_cast<int>(cls));
     std::size_t compliant_rows = 0, total_rows = 0;
     for (const auto& flow : flows) {

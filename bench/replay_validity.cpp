@@ -8,7 +8,9 @@
 // pcap bytes; this bench replays real and synthetic traffic through a
 // middlebox chain (NAT -> conntrack firewall -> flow counter) and
 // reports the strict-conntrack TCP acceptance rate plus end-to-end
-// delivery.
+// delivery. The three synthetic sets (full stack, raw, stateful repair)
+// share the base seed bench::kSynSeed, so each flow of one set starts
+// from the same noise as its counterpart in the others.
 #include "bench_common.hpp"
 
 #include "eval/report.hpp"
@@ -76,7 +78,7 @@ int main() {
   report.stage("generate_synthetic");
   const flowgen::Dataset ours = pipeline.generate_dataset(
       std::vector<std::size_t>(flowgen::kNumApps, scale.syn_per_class),
-      bench::generate_options(scale));
+      bench::generate_options(scale), bench::kSynSeed);
 
   // Also an unconstrained variant (no control, no projection): how much
   // of the replayability comes from the constraint machinery?
@@ -85,14 +87,14 @@ int main() {
   raw_opts.constraint = diffusion::ConstraintMode::kOff;
   const flowgen::Dataset ours_raw = pipeline.generate_dataset(
       std::vector<std::size_t>(flowgen::kNumApps, scale.syn_per_class),
-      raw_opts);
+      raw_opts, bench::kSynSeed);
 
   // The §4 extension: hard projection onto the TCP state machine.
   diffusion::GenerateOptions stateful_opts = bench::generate_options(scale);
   stateful_opts.stateful_tcp_repair = true;
   const flowgen::Dataset ours_stateful = pipeline.generate_dataset(
       std::vector<std::size_t>(flowgen::kNumApps, scale.syn_per_class),
-      stateful_opts);
+      stateful_opts, bench::kSynSeed);
 
   report.stage("replay_chains");
   std::vector<ReplayRow> rows = {

@@ -103,7 +103,7 @@ void run_generation(benchmark::State& state, const std::string& rate_key,
   std::size_t flows = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
-    auto out = pipeline.generate(0, opts);
+    auto out = pipeline.generate_seeded(0, opts, /*seed=*/flows);
     benchmark::DoNotOptimize(out);
     ++flows;
   }

@@ -90,7 +90,7 @@ int main() {
               scale.syn_per_class, scale.ddim_steps);
   const flowgen::Dataset ours_syn = pipeline.generate_dataset(
       std::vector<std::size_t>(flowgen::kNumApps, scale.syn_per_class),
-      bench::generate_options(scale));
+      bench::generate_options(scale), bench::kSynSeed);
 
   // --- GAN baseline on NetFlow records. ---
   report.stage("fit_gan");

@@ -46,13 +46,15 @@ int main() {
               stats.unet_parameters, stats.ae_final_loss,
               stats.diffusion_final_loss);
 
-  // 3. Text-to-traffic: prompts are "Type-<k>" or class names.
+  // 3. Text-to-traffic: prompts are "Type-<k>" or class names. The seed
+  //    makes the flows reproducible: the same seed gives the same bytes.
+  const int class_id = *pipeline.prompts().parse_prompt("Type-1");
   diffusion::GenerateOptions opts;
   opts.count = 5;
   opts.ddim_steps = 10;
-  const auto flows = pipeline.generate_from_prompt("Type-1", opts);
+  const auto flows = pipeline.generate_seeded(class_id, opts, /*seed=*/7);
   std::printf("generated %zu flows for prompt 'Type-1' (%s)\n", flows.size(),
-              pipeline.prompts().class_name(1).c_str());
+              pipeline.prompts().class_name(class_id).c_str());
   for (const auto& flow : flows) {
     std::printf("  %zu packets, dominant protocol %s\n", flow.packet_count(),
                 net::proto_name(flow.dominant_protocol()).c_str());

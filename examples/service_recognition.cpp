@@ -65,7 +65,8 @@ int main() {
   diffusion::GenerateOptions opts;
   opts.ddim_steps = env_size("REPRO_DDIM_STEPS", 15);
   const auto synthetic = pipeline.generate_dataset(
-      std::vector<std::size_t>(flowgen::kNumApps, syn_per_class), opts);
+      std::vector<std::size_t>(flowgen::kNumApps, syn_per_class), opts,
+      /*seed=*/2023);
   std::printf("generated %zu synthetic flows\n", synthetic.size());
 
   // --- GAN baseline for comparison. ---

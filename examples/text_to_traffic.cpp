@@ -15,6 +15,7 @@
 #include "diffusion/pipeline.hpp"
 #include "flowgen/dataset.hpp"
 #include "net/pcap.hpp"
+#include "nprint/codec.hpp"
 #include "nprint/image.hpp"
 
 using namespace repro;
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
   diffusion::GenerateOptions opts;
   opts.count = count;
   opts.ddim_steps = env_size("REPRO_DDIM_STEPS", 15);
-  const auto flows = pipeline.generate_from_prompt(prompt, opts);
+  const auto flows = pipeline.generate_seeded(*class_id, opts, /*seed=*/7);
   for (const auto& flow : flows) {
     std::printf("  flow: %zu packets, %zu bytes, dominant %s\n",
                 flow.packet_count(), flow.byte_count(),
@@ -70,8 +71,9 @@ int main(int argc, char** argv) {
   net::write_pcap_file(out_path, net::flatten_flows(flows));
   std::printf("wrote %s\n", out_path.c_str());
 
+  if (flows.empty()) return 0;
   const nprint::Matrix matrix =
-      pipeline.generate_matrix(*class_id, opts);
+      nprint::encode_flow(flows.front(), config.packets, /*pad_to_max=*/true);
   nprint::write_ppm("text_to_traffic.ppm", nprint::render(matrix));
   std::printf("wrote text_to_traffic.ppm (Figure 2-style flow image)\n");
   return 0;

@@ -95,8 +95,8 @@ int main() {
   diffusion::GenerateOptions opts;
   opts.count = 4;
   opts.ddim_steps = 10;
-  auto flows = pipeline.generate(0, opts);
-  auto zoom_flows = pipeline.generate(1, opts);
+  auto flows = pipeline.generate_seeded(0, opts, /*seed=*/1);
+  auto zoom_flows = pipeline.generate_seeded(1, opts, /*seed=*/2);
   flows.insert(flows.end(), zoom_flows.begin(), zoom_flows.end());
 
   // Persist the synthetic trace, then replay the *file* through the

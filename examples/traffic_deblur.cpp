@@ -54,7 +54,8 @@ int main() {
 
   diffusion::GenerateOptions opts;
   opts.ddim_steps = 12;
-  const net::Flow restored = pipeline.deblur(corrupted, known, 1, opts);
+  const net::Flow restored =
+      pipeline.deblur(corrupted, known, 1, opts, /*seed=*/5);
   std::printf("restored flow: %zu packets\n", restored.packet_count());
   std::size_t verbatim = 0;
   for (std::size_t i = 0; i < restored.packets.size() && i < known.size();

@@ -514,12 +514,8 @@ EpsFn TraceDiffusion::guided_eps_fn(int class_id, std::size_t count,
 }
 
 TraceDiffusion::SampleStart TraceDiffusion::sample_start(
-    int class_id, std::size_t count, const GenerateOptions& opts,
-    std::span<Rng> rngs) const {
-  if (rngs.size() != 1 && rngs.size() != count) {
-    throw std::invalid_argument(
-        "TraceDiffusion: need one Rng stream, or one per flow");
-  }
+    int class_id, const GenerateOptions& opts, std::span<Rng> rngs) const {
+  const std::size_t count = rngs.size();
   const std::size_t c = config_.autoencoder.latent_dim;
   const std::size_t l = config_.packets;
   const std::size_t top = schedule_.timesteps() - 1;
@@ -543,7 +539,7 @@ TraceDiffusion::SampleStart TraceDiffusion::sample_start(
     sb = schedule_.sqrt_one_minus_alpha_bar(start.t0);
   }
   for (std::size_t b = 0; b < count; ++b) {
-    Rng& rng = sample_stream(rngs, b);
+    Rng& rng = rngs[b];
     float* dst = start.x.data() + b * c * l;
     for (std::size_t i = 0; i < c * l; ++i) {
       const float noise = static_cast<float>(rng.gaussian());
@@ -553,15 +549,15 @@ TraceDiffusion::SampleStart TraceDiffusion::sample_start(
   return start;
 }
 
-nn::Tensor TraceDiffusion::sample_latents(int class_id, std::size_t count,
+nn::Tensor TraceDiffusion::sample_latents(int class_id,
                                           const GenerateOptions& opts,
                                           std::span<Rng> rngs) const {
   REPRO_SPAN("diffusion.sample.latents");
-  SampleStart start = sample_start(class_id, count, opts, rngs);
+  SampleStart start = sample_start(class_id, opts, rngs);
   const std::size_t steps = start.from_template
                                 ? std::min(opts.ddim_steps, start.t0 + 1)
                                 : opts.ddim_steps;
-  const EpsFn eps_fn = guided_eps_fn(class_id, count, opts);
+  const EpsFn eps_fn = guided_eps_fn(class_id, rngs.size(), opts);
   nn::Tensor out;
   switch (opts.sampler) {
     case SamplerKind::kDdpm:
@@ -609,12 +605,14 @@ std::size_t TraceDiffusion::distill(const DistillConfig& cfg) {
   std::size_t fitted_stages = 0;
   for (std::size_t cls = 0; cls < prompts_.num_classes(); ++cls) {
     const int class_id = static_cast<int>(cls);
-    // Calibration batch at t0 — the start generation uses, drawn from a
-    // dedicated stream so distill() never reads or advances the
-    // pipeline RNG.
-    Rng rng(fork_flow_seed(cfg.seed, cls));
-    const SampleStart start =
-        sample_start(class_id, n, cfg.options, std::span<Rng>(&rng, 1));
+    // Calibration batch at t0 — the start generation uses, one seeded
+    // stream per calibration sample.
+    const std::uint64_t class_seed = fork_flow_seed(cfg.seed, cls);
+    std::vector<Rng> rngs;
+    for (std::size_t i = 0; i < n; ++i) {
+      rngs.emplace_back(fork_flow_seed(class_seed, i));
+    }
+    const SampleStart start = sample_start(class_id, cfg.options, rngs);
 
     // Progressive halving against the fp32 reference eps function.
     const EpsFn eps_fn = guided_eps_fn(class_id, n, cfg.options);
@@ -652,11 +650,6 @@ std::vector<std::size_t> TraceDiffusion::distilled_step_counts() const {
   return out;
 }
 
-std::vector<net::Flow> TraceDiffusion::generate(int class_id,
-                                                const GenerateOptions& opts) {
-  return sample_flows(class_id, opts.count, opts, std::span<Rng>(&rng_, 1));
-}
-
 std::vector<net::Flow> TraceDiffusion::generate_seeded(
     int class_id, const GenerateOptions& opts, std::uint64_t seed) const {
   std::vector<std::uint64_t> flow_seeds(opts.count);
@@ -669,24 +662,20 @@ std::vector<net::Flow> TraceDiffusion::generate_seeded(
 std::vector<net::Flow> TraceDiffusion::generate_with_flow_seeds(
     int class_id, const GenerateOptions& opts,
     const std::vector<std::uint64_t>& flow_seeds) const {
-  std::vector<Rng> rngs(flow_seeds.begin(), flow_seeds.end());
-  return sample_flows(class_id, rngs.size(), opts, rngs);
-}
-
-std::vector<net::Flow> TraceDiffusion::sample_flows(
-    int class_id, std::size_t count, const GenerateOptions& opts,
-    std::span<Rng> rngs) const {
   if (!fitted_) {
-    throw std::logic_error("TraceDiffusion::generate: call fit() first");
+    throw std::logic_error("TraceDiffusion::generate_seeded: call fit() first");
   }
   if (class_id < 0 ||
       static_cast<std::size_t>(class_id) >= prompts_.num_classes()) {
-    throw std::invalid_argument("TraceDiffusion::generate: bad class id");
+    throw std::invalid_argument(
+        "TraceDiffusion::generate_seeded: bad class id");
   }
+  const std::size_t count = flow_seeds.size();
   if (count == 0) return {};
   REPRO_SPAN("diffusion.generate");
   telemetry::count("diffusion.generate.flows", count);
-  nn::Tensor latents = sample_latents(class_id, count, opts, rngs);
+  std::vector<Rng> rngs(flow_seeds.begin(), flow_seeds.end());
+  nn::Tensor latents = sample_latents(class_id, opts, rngs);
 
   REPRO_SPAN("diffusion.generate.decode");
   std::vector<nprint::Matrix> matrices =
@@ -699,7 +688,7 @@ std::vector<net::Flow> TraceDiffusion::sample_flows(
       flow = enforce_tcp_state(flow, template_flows_.at(class_id));
     }
     flow.label = class_id;
-    assign_timestamps(flow, class_id, sample_stream(rngs, i));
+    assign_timestamps(flow, class_id, rngs[i]);
     flows.push_back(std::move(flow));
   }
   return flows;
@@ -720,36 +709,10 @@ std::vector<nprint::Matrix> TraceDiffusion::decode_latents(
   return matrices;
 }
 
-std::vector<net::Flow> TraceDiffusion::generate_from_prompt(
-    const std::string& prompt, const GenerateOptions& opts) {
-  const auto id = prompts_.parse_prompt(prompt);
-  if (!id || *id == prompts_.null_id()) {
-    throw std::invalid_argument("generate_from_prompt: unknown prompt '" +
-                                prompt + "'");
-  }
-  return generate(*id, opts);
-}
-
-nprint::Matrix TraceDiffusion::generate_matrix(int class_id,
-                                               const GenerateOptions& opts,
-                                               ProtocolTemplate* used_template) {
-  if (!fitted_) {
-    throw std::logic_error("TraceDiffusion::generate_matrix: call fit() first");
-  }
-  nprint::Matrix matrix = std::move(
-      decode_latents(sample_latents(class_id, 1, opts,
-                                    std::span<Rng>(&rng_, 1)),
-                     class_id, opts.constraint)
-          .front());
-  if (used_template && templates_.count(class_id)) {
-    *used_template = templates_.at(class_id);
-  }
-  return matrix;
-}
-
 net::Flow TraceDiffusion::deblur(const net::Flow& corrupted,
                                  const std::vector<bool>& packet_known,
-                                 int class_id, const GenerateOptions& opts) {
+                                 int class_id, const GenerateOptions& opts,
+                                 std::uint64_t seed) const {
   if (!fitted_) {
     throw std::logic_error("TraceDiffusion::deblur: call fit() first");
   }
@@ -771,8 +734,9 @@ net::Flow TraceDiffusion::deblur(const net::Flow& corrupted,
 
   EpsFn eps_fn = guided_eps_fn(class_id, /*count=*/1, opts);
 
+  Rng rng(seed);
   nn::Tensor restored = ddim_inpaint(eps_fn, schedule_, known, mask,
-                                     opts.ddim_steps, /*eta=*/0.0f, rng_);
+                                     opts.ddim_steps, /*eta=*/0.0f, rng);
   const nprint::Matrix matrix = std::move(
       decode_latents(std::move(restored), class_id, opts.constraint).front());
   // Row-preserving reassembly: observed slots take the original packet
@@ -793,7 +757,7 @@ net::Flow TraceDiffusion::deblur(const net::Flow& corrupted,
     }
     flow.packets.push_back(std::move(pkt));
   }
-  assign_timestamps(flow, class_id, rng_);
+  assign_timestamps(flow, class_id, rng);
   if (!flow.packets.empty()) {
     flow.key = net::FlowKey::from_packet(flow.packets.front()).canonical();
   }
@@ -801,13 +765,15 @@ net::Flow TraceDiffusion::deblur(const net::Flow& corrupted,
 }
 
 flowgen::Dataset TraceDiffusion::generate_dataset(
-    const std::vector<std::size_t>& per_class, const GenerateOptions& opts) {
+    const std::vector<std::size_t>& per_class, const GenerateOptions& opts,
+    std::uint64_t seed) const {
   flowgen::Dataset out;
   for (std::size_t cls = 0; cls < per_class.size(); ++cls) {
     if (per_class[cls] == 0) continue;
     GenerateOptions batch = opts;
     batch.count = per_class[cls];
-    auto flows = generate(static_cast<int>(cls), batch);
+    auto flows = generate_seeded(static_cast<int>(cls), batch,
+                                 fork_flow_seed(seed, cls));
     for (auto& flow : flows) out.flows.push_back(std::move(flow));
   }
   return out;

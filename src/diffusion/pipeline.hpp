@@ -11,7 +11,6 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -107,8 +106,8 @@ struct DistillConfig {
   std::size_t rounds = 3;
   /// Calibration latents per class for the closed-form gain fit.
   std::size_t calibration_count = 4;
-  /// Seed for the calibration noise; independent of the pipeline RNG so
-  /// distill() never perturbs generate() streams.
+  /// Seed for the calibration noise: calibration sample i of class c
+  /// draws from fork_flow_seed(fork_flow_seed(seed, c), i).
   std::uint64_t seed = 4321;
   /// Prototype sampling options: guidance / control / template_strength
   /// determine the start timestep and eps function the stages are
@@ -142,23 +141,15 @@ class TraceDiffusion {
   /// fit()). Returns the final epoch loss.
   float fit_lora(const flowgen::Dataset& data, std::size_t epochs);
 
-  /// Generates labeled flows for a class. Throws std::logic_error before
-  /// fit().
-  std::vector<net::Flow> generate(int class_id, const GenerateOptions& opts);
-
-  /// Text-to-traffic: accepts "Type-k" or an application name.
-  /// Throws std::invalid_argument for unknown prompts.
-  std::vector<net::Flow> generate_from_prompt(const std::string& prompt,
-                                              const GenerateOptions& opts);
-
-  /// Deterministic seeded generation: flow i of the `opts.count` flows
-  /// draws ALL of its randomness (initial noise, per-step sampler noise,
-  /// timestamp gaps) from an independent stream seeded with
-  /// fork_flow_seed(seed, i). Unlike generate(), this neither reads nor
-  /// advances the pipeline's internal RNG, so the same (class, seed,
-  /// opts) always yields bit-identical flows — the library-side half of
-  /// the serving determinism contract. `const`: it reads the fitted
-  /// model only, so any number of threads may call it on one pipeline.
+  /// Generates `opts.count` labeled flows for a class. Flow i draws ALL
+  /// of its randomness (initial noise, per-step sampler noise, timestamp
+  /// gaps) from an independent stream seeded with fork_flow_seed(seed,
+  /// i), so the same (class, seed, opts) always yields bit-identical
+  /// flows — the library-side half of the serving determinism contract.
+  /// `const`: it reads the fitted model only, so any number of threads
+  /// may call it on one pipeline. Throws std::logic_error before fit()
+  /// and std::invalid_argument for a bad class id. Prompts ("Type-k" or
+  /// an application name) map to class ids via prompts().parse_prompt().
   std::vector<net::Flow> generate_seeded(int class_id,
                                          const GenerateOptions& opts,
                                          std::uint64_t seed) const;
@@ -173,15 +164,14 @@ class TraceDiffusion {
       int class_id, const GenerateOptions& opts,
       const std::vector<std::uint64_t>& flow_seeds) const;
 
-  /// One raw generated matrix (already quantized/projected per
-  /// opts.constraint) plus the template used — the Figure 2 artifact.
-  nprint::Matrix generate_matrix(int class_id, const GenerateOptions& opts,
-                                 ProtocolTemplate* used_template = nullptr);
-
   /// Balanced or custom-distribution dataset synthesis (§3.2 Coverage:
   /// "invoke the generation process an equal number of times for each").
+  /// Class c's flows are generate_seeded(c, opts with count =
+  /// per_class[c], fork_flow_seed(seed, c)), so any class slice can be
+  /// regenerated on its own, through the server too.
   flowgen::Dataset generate_dataset(const std::vector<std::size_t>& per_class,
-                                    const GenerateOptions& opts);
+                                    const GenerateOptions& opts,
+                                    std::uint64_t seed) const;
 
   /// The per-class one-shot control template captured during fit().
   const ProtocolTemplate& class_template(int class_id) const;
@@ -201,10 +191,11 @@ class TraceDiffusion {
   /// marks packet slots that were observed; those packets are returned
   /// verbatim while the vacant slots are synthesized conditioned on the
   /// observed ones (and the class prompt). Slots beyond
-  /// `packet_known.size()` count as missing.
+  /// `packet_known.size()` count as missing. All randomness (inpainting
+  /// noise, timestamp gaps) comes from Rng(seed).
   net::Flow deblur(const net::Flow& corrupted,
                    const std::vector<bool>& packet_known, int class_id,
-                   const GenerateOptions& opts);
+                   const GenerateOptions& opts, std::uint64_t seed) const;
 
   /// Persists the fitted pipeline: `<prefix>.weights` (autoencoder +
   /// U-Net + control branch parameters) and `<prefix>.meta` (latent
@@ -267,21 +258,19 @@ class TraceDiffusion {
     bool from_template = false;
   };
 
-  /// Builds the start of a `count`-sample request: pure noise at the top
-  /// of the schedule, or — when the class template is in play
-  /// (use_control, 0 < template_strength < 1) — the SDEdit start, the
-  /// template latent noised to t0 = template_strength of the schedule.
-  /// Sample b draws its noise from sample_stream(rngs, b); rngs holds one
-  /// shared stream or one per sample. Distilled stages are keyed on t0.
-  SampleStart sample_start(int class_id, std::size_t count,
-                           const GenerateOptions& opts,
+  /// Builds the start of a request with one sample per stream in `rngs`:
+  /// pure noise at the top of the schedule, or — when the class template
+  /// is in play (use_control, 0 < template_strength < 1) — the SDEdit
+  /// start, the template latent noised to t0 = template_strength of the
+  /// schedule. Sample b draws its noise from rngs[b]. Distilled stages
+  /// are keyed on t0.
+  SampleStart sample_start(int class_id, const GenerateOptions& opts,
                            std::span<Rng> rngs) const;
 
   /// The one sampling core: start state, then DDPM / DDIM / distilled
   /// denoising to t = 0 under the guided eps function, then per-sample
   /// renormalization. Every generation entry point runs through it.
-  nn::Tensor sample_latents(int class_id, std::size_t count,
-                            const GenerateOptions& opts,
+  nn::Tensor sample_latents(int class_id, const GenerateOptions& opts,
                             std::span<Rng> rngs) const;
 
   /// Latent batch -> AE decode -> quantize -> projection onto the class
@@ -289,13 +278,6 @@ class TraceDiffusion {
   std::vector<nprint::Matrix> decode_latents(nn::Tensor latents,
                                              int class_id,
                                              ConstraintMode constraint) const;
-
-  /// generate() and generate_with_flow_seeds(): checks, sample_latents,
-  /// decode_latents, then packets and timestamps — flow i's timestamp
-  /// gaps are drawn from sample_stream(rngs, i) after its sampler noise.
-  std::vector<net::Flow> sample_flows(int class_id, std::size_t count,
-                                      const GenerateOptions& opts,
-                                      std::span<Rng> rngs) const;
 
   /// Builds the classifier-free-guided noise predictor shared by
   /// sample_latents and deblur. With guidance enabled, the cond and
@@ -309,7 +291,7 @@ class TraceDiffusion {
 
   PipelineConfig config_;
   PromptCodec prompts_;
-  Rng rng_;
+  Rng rng_;  // training only: construction, fit and fit_lora
   NoiseSchedule schedule_;
   // Behind propagate_const, so the const sampling path reaches only the
   // read-only forwards.

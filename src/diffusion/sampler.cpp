@@ -11,17 +11,15 @@
 namespace repro::diffusion {
 namespace {
 
-/// Where sampler noise comes from: `rngs` holds one stream shared by
-/// every sample or one stream per sample (see sample_stream). Sample b
-/// fills its own slice of each draw from its stream, so a shared stream
-/// yields the flat element-order draw.
+/// Where sampler noise comes from: `rngs` holds one stream per sample,
+/// and sample b fills its own slice of each draw from rngs[b].
 class NoiseSource {
  public:
   NoiseSource(std::span<Rng> rngs, const std::vector<std::size_t>& shape)
       : rngs_(rngs), samples_(shape.empty() ? 0 : shape[0]) {
-    if (rngs_.size() != 1 && rngs_.size() != samples_) {
+    if (rngs_.size() != samples_) {
       throw std::invalid_argument(
-          "sampler: need one Rng stream, or one per sample");
+          "sampler: need exactly one Rng stream per sample");
     }
     for (std::size_t i = 1; i < shape.size(); ++i) stride_ *= shape[i];
   }
@@ -36,7 +34,7 @@ class NoiseSource {
         nn::TensorArena::scratch().acquire(samples_ * stride_);
     float* p = noise.data();
     for (std::size_t b = 0; b < samples_; ++b) {
-      Rng& rng = sample_stream(rngs_, b);
+      Rng& rng = rngs_[b];
       for (std::size_t i = 0; i < stride_; ++i) {
         p[b * stride_ + i] = static_cast<float>(rng.gaussian());
       }

@@ -24,21 +24,14 @@ using EpsFn = std::function<nn::Tensor(const nn::Tensor& x, std::size_t t)>;
 /// fits its student schedules against the exact teacher trajectory.
 std::vector<std::size_t> ddim_tau_schedule(std::size_t t0, std::size_t steps);
 
-/// Noise streams. Every sampler takes its noise from `rngs`, which holds
-/// either ONE stream that all samples share or one stream PER SAMPLE
+/// Noise streams. Every sampler takes exactly one stream per sample
 /// (rngs.size() == shape[0]); any other size throws
 /// std::invalid_argument. Sample b draws ALL of its noise (the initial
-/// x_T and any per-step noise) from sample_stream(rngs, b), in the
-/// order a single-sample call would consume it. A shared stream drawn
-/// sample by sample is exactly the flat element-order draw, so one rule
-/// covers both cases. With per-sample streams a sample's bits do not
+/// x_T and any per-step noise) from rngs[b], so a sample's bits do not
 /// depend on its batch-mates — one [4] call vs four [1] calls with the
 /// same four streams yields bit-identical samples, which is what lets
 /// the serving batcher coalesce independently seeded requests into one
 /// model call.
-inline Rng& sample_stream(std::span<Rng> rngs, std::size_t b) {
-  return rngs[rngs.size() == 1 ? 0 : b];
-}
 
 /// Full DDPM ancestral sampling from pure noise; `shape` is the latent
 /// shape [N, C, L].
@@ -70,6 +63,7 @@ nn::Tensor ddim_sample_from(const EpsFn& eps_fn, const NoiseSchedule& schedule,
 /// the unknown elements — conditioned on the known ones through the
 /// denoiser's receptive field. Backs the paper's §4 "traffic deblurring"
 /// agenda item (restoring missing/corrupted parts of a trace).
+/// `known_x0` holds one sample, so `rng` is its one stream.
 nn::Tensor ddim_inpaint(const EpsFn& eps_fn, const NoiseSchedule& schedule,
                         const nn::Tensor& known_x0,
                         const std::vector<std::uint8_t>& known_mask,

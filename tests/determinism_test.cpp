@@ -122,13 +122,13 @@ TEST(Determinism, DiffusionSamplingSteps) {
     };
     // DDIM exercises the deterministic update; DDPM adds the serially
     // pre-drawn per-element noise. Both go through the parallel nn
-    // forward paths (matmul, conv, attention) on every step.
-    Rng sample_rng(31);
+    // forward paths (matmul, conv, attention) on every step. One noise
+    // stream per sample.
+    std::vector<Rng> sample_rngs{Rng(31), Rng(32)};
     const nn::Tensor ddim = diffusion::ddim_sample(
-        eps_fn, schedule, {2, 6, 8}, /*steps=*/4, /*eta=*/0.5f,
-        {&sample_rng, 1});
-    const nn::Tensor ddpm = diffusion::ddpm_sample_from(eps_fn, schedule, ddim,
-                                                        3, {&sample_rng, 1});
+        eps_fn, schedule, {2, 6, 8}, /*steps=*/4, /*eta=*/0.5f, sample_rngs);
+    const nn::Tensor ddpm =
+        diffusion::ddpm_sample_from(eps_fn, schedule, ddim, 3, sample_rngs);
     std::uint64_t h = hash_tensor(ddim);
     hash_bytes(h, ddpm.data(), ddpm.size() * sizeof(float));
     return h;

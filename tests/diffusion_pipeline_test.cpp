@@ -10,6 +10,7 @@
 #include <string>
 
 #include "flowgen/generator.hpp"
+#include "nprint/codec.hpp"
 
 namespace repro::diffusion {
 namespace {
@@ -77,7 +78,7 @@ TEST_F(PipelineTest, GenerateProducesLabeledFlows) {
   GenerateOptions opts;
   opts.count = 3;
   opts.ddim_steps = 5;
-  const auto flows = pipeline_->generate(1, opts);
+  const auto flows = pipeline_->generate_seeded(1, opts, 1);
   ASSERT_EQ(flows.size(), 3u);
   for (const auto& flow : flows) {
     EXPECT_EQ(flow.label, 1);
@@ -91,7 +92,7 @@ TEST_F(PipelineTest, ProjectionEnforcesClassProtocol) {
   opts.count = 2;
   opts.ddim_steps = 5;
   opts.constraint = ConstraintMode::kProjected;
-  const auto flows = pipeline_->generate(0, opts);  // netflix => TCP
+  const auto flows = pipeline_->generate_seeded(0, opts, 2);  // netflix: TCP
   const auto& tmpl = pipeline_->class_template(0);
   for (const auto& flow : flows) {
     for (std::size_t i = 0; i < flow.packets.size(); ++i) {
@@ -104,7 +105,7 @@ TEST_F(PipelineTest, GeneratedPacketsAreReplayable) {
   GenerateOptions opts;
   opts.count = 1;
   opts.ddim_steps = 5;
-  const auto flows = pipeline_->generate(0, opts);
+  const auto flows = pipeline_->generate_seeded(0, opts, 3);
   for (const auto& pkt : flows[0].packets) {
     const auto wire = pkt.serialize();
     const net::Packet parsed = net::Packet::parse(wire);
@@ -116,20 +117,27 @@ TEST_F(PipelineTest, PromptInterface) {
   GenerateOptions opts;
   opts.count = 1;
   opts.ddim_steps = 4;
-  const auto by_name = pipeline_->generate_from_prompt("teams", opts);
-  EXPECT_EQ(by_name[0].label, 1);
-  const auto by_type = pipeline_->generate_from_prompt("Type-0", opts);
-  EXPECT_EQ(by_type[0].label, 0);
-  EXPECT_THROW(pipeline_->generate_from_prompt("hulu", opts),
-               std::invalid_argument);
-  EXPECT_THROW(pipeline_->generate_from_prompt("", opts),
+  const PromptCodec& prompts = pipeline_->prompts();
+  const auto by_name = prompts.parse_prompt("teams");
+  ASSERT_TRUE(by_name.has_value());
+  EXPECT_EQ(pipeline_->generate_seeded(*by_name, opts, 4)[0].label, 1);
+  const auto by_type = prompts.parse_prompt("Type-0");
+  ASSERT_TRUE(by_type.has_value());
+  EXPECT_EQ(pipeline_->generate_seeded(*by_type, opts, 4)[0].label, 0);
+  // Rejected at the caller: an unknown prompt does not parse, and the
+  // empty prompt is the unconditional id, which names no class.
+  EXPECT_FALSE(prompts.parse_prompt("hulu").has_value());
+  const auto empty = prompts.parse_prompt("");
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_EQ(*empty, prompts.null_id());
+  EXPECT_THROW(pipeline_->generate_seeded(*empty, opts, 4),
                std::invalid_argument);
 }
 
 TEST_F(PipelineTest, GenerateDatasetRespectsCounts) {
   GenerateOptions opts;
   opts.ddim_steps = 4;
-  const auto ds = pipeline_->generate_dataset({2, 3}, opts);
+  const auto ds = pipeline_->generate_dataset({2, 3}, opts, 11);
   EXPECT_EQ(ds.size(), 5u);
   std::size_t class0 = 0, class1 = 0;
   for (const auto& flow : ds.flows) {
@@ -143,11 +151,12 @@ TEST_F(PipelineTest, GenerateDatasetRespectsCounts) {
 TEST_F(PipelineTest, GenerateMatrixIsTernary) {
   GenerateOptions opts;
   opts.ddim_steps = 4;
-  ProtocolTemplate tmpl;
-  const nprint::Matrix matrix = pipeline_->generate_matrix(0, opts, &tmpl);
+  const net::Flow flow = pipeline_->generate_seeded(0, opts, 5).front();
+  const nprint::Matrix matrix =
+      nprint::encode_flow(flow, 8, /*pad_to_max=*/true);
   EXPECT_EQ(matrix.rows(), 8u);
   EXPECT_DOUBLE_EQ(nprint::ternary_fraction(matrix), 1.0);
-  EXPECT_EQ(tmpl.per_packet.size(), 8u);
+  EXPECT_EQ(pipeline_->class_template(0).per_packet.size(), 8u);
 }
 
 TEST_F(PipelineTest, PureNoiseStartAlsoWorks) {
@@ -155,7 +164,7 @@ TEST_F(PipelineTest, PureNoiseStartAlsoWorks) {
   opts.count = 1;
   opts.ddim_steps = 4;
   opts.template_strength = 1.0f;  // disable one-shot image guidance
-  const auto flows = pipeline_->generate(0, opts);
+  const auto flows = pipeline_->generate_seeded(0, opts, 6);
   EXPECT_EQ(flows.size(), 1u);
 }
 
@@ -168,8 +177,13 @@ TEST_F(PipelineTest, ClassesGenerateDistinctMatrices) {
   GenerateOptions opts;
   opts.ddim_steps = 6;
   opts.count = 1;
-  const nprint::Matrix a = pipeline_->generate_matrix(0, opts);
-  const nprint::Matrix b = pipeline_->generate_matrix(1, opts);
+  const auto image = [&](int class_id) {
+    return nprint::encode_flow(
+        pipeline_->generate_seeded(class_id, opts, 7).front(), 8,
+        /*pad_to_max=*/true);
+  };
+  const nprint::Matrix a = image(0);
+  const nprint::Matrix b = image(1);
   std::size_t diff = 0;
   for (std::size_t i = 0; i < a.data().size(); ++i) {
     if (a.data()[i] != b.data()[i]) ++diff;
@@ -181,7 +195,7 @@ TEST_F(PipelineTest, DdpmSamplerAlsoWorks) {
   GenerateOptions opts;
   opts.count = 1;
   opts.sampler = SamplerKind::kDdpm;
-  const auto flows = pipeline_->generate(0, opts);
+  const auto flows = pipeline_->generate_seeded(0, opts, 8);
   EXPECT_EQ(flows.size(), 1u);
 }
 
@@ -190,36 +204,53 @@ TEST_F(PipelineTest, GuidanceScaleOneSkipsUnconditionalPass) {
   opts.count = 1;
   opts.ddim_steps = 3;
   opts.guidance_scale = 1.0f;
-  const auto flows = pipeline_->generate(1, opts);
+  const auto flows = pipeline_->generate_seeded(1, opts, 9);
   EXPECT_EQ(flows.size(), 1u);
 }
 
 TEST_F(PipelineTest, BadClassIdRejected) {
   GenerateOptions opts;
-  EXPECT_THROW(pipeline_->generate(7, opts), std::invalid_argument);
-  EXPECT_THROW(pipeline_->generate(-1, opts), std::invalid_argument);
+  EXPECT_THROW(pipeline_->generate_seeded(7, opts, 1), std::invalid_argument);
+  EXPECT_THROW(pipeline_->generate_seeded(-1, opts, 1), std::invalid_argument);
   EXPECT_THROW(pipeline_->class_template(9), std::out_of_range);
+}
+
+/// A Teams flow with all but packets 0, 1 and 7 blanked, plus the mask of
+/// observed slots.
+struct LossyFlow {
+  net::Flow original;
+  net::Flow corrupted;
+  std::vector<bool> known;
+};
+
+LossyFlow lossy_teams_flow() {
+  Rng rng(99);
+  LossyFlow lossy;
+  lossy.original = flowgen::generate_flow(flowgen::App::kTeams, 8, rng);
+  lossy.original.label = 1;
+  lossy.known.assign(8, false);
+  lossy.known[0] = lossy.known[1] = lossy.known[7] = true;
+  lossy.corrupted = lossy.original;
+  for (std::size_t i = 0; i < lossy.corrupted.packets.size(); ++i) {
+    if (!lossy.known[i]) {
+      net::Packet& pkt = lossy.corrupted.packets[i];
+      pkt = net::Packet{};  // blanked slot
+      pkt.udp = net::UdpHeader{};
+      pkt.ip.protocol = net::IpProto::kUdp;
+    }
+  }
+  return lossy;
 }
 
 TEST_F(PipelineTest, DeblurRestoresMissingPackets) {
   // Drop the middle packets of a real flow; deblurring must return the
   // observed packets verbatim and synthesize replacements for the rest.
-  Rng rng(99);
-  net::Flow flow = flowgen::generate_flow(flowgen::App::kTeams, 8, rng);
-  flow.label = 1;
-  std::vector<bool> known(8, false);
-  known[0] = known[1] = known[7] = true;
-  net::Flow corrupted = flow;
-  for (std::size_t i = 0; i < corrupted.packets.size(); ++i) {
-    if (!known[i]) {
-      corrupted.packets[i] = net::Packet{};  // blanked slot
-      corrupted.packets[i].udp = net::UdpHeader{};
-      corrupted.packets[i].ip.protocol = net::IpProto::kUdp;
-    }
-  }
+  const LossyFlow lossy = lossy_teams_flow();
+  const net::Flow& flow = lossy.original;
   GenerateOptions opts;
   opts.ddim_steps = 6;
-  const net::Flow restored = pipeline_->deblur(corrupted, known, 1, opts);
+  const net::Flow restored =
+      pipeline_->deblur(lossy.corrupted, lossy.known, 1, opts, 12);
   ASSERT_GE(restored.packets.size(), 3u);
   // Observed packets are byte-identical (modulo timestamps).
   auto strip_time = [](net::Packet pkt) {
@@ -243,7 +274,7 @@ TEST_F(PipelineTest, DeblurRestoresMissingPackets) {
 TEST(Pipeline, DeblurBeforeFitThrows) {
   TraceDiffusion fresh(tiny_config(), {"a", "b"});
   net::Flow flow;
-  EXPECT_THROW(fresh.deblur(flow, {true}, 0, GenerateOptions{}),
+  EXPECT_THROW(fresh.deblur(flow, {true}, 0, GenerateOptions{}, 1),
                std::logic_error);
 }
 
@@ -251,7 +282,7 @@ TEST_F(PipelineTest, GeneratedTimestampsFollowLearnedTiming) {
   GenerateOptions opts;
   opts.count = 3;
   opts.ddim_steps = 5;
-  const auto flows = pipeline_->generate(1, opts);
+  const auto flows = pipeline_->generate_seeded(1, opts, 13);
   bool any_gap_variation = false;
   double prev_gap = -1.0;
   for (const auto& flow : flows) {
@@ -291,9 +322,9 @@ TEST_F(PipelineTest, SeededGenerationIsReproducible) {
   opts.count = 2;
   opts.ddim_steps = 4;
   const auto first = pipeline_->generate_seeded(0, opts, 42);
-  // Interleave an unseeded call: generate_seeded must not read the
-  // pipeline's internal RNG, so this cannot perturb the replay.
-  (void)pipeline_->generate(1, opts);
+  // Interleave a call with another class and seed: a seeded call shares
+  // no state with any other, so this cannot perturb the replay.
+  (void)pipeline_->generate_seeded(1, opts, 99);
   const auto again = pipeline_->generate_seeded(0, opts, 42);
   ASSERT_EQ(first.size(), 2u);
   ASSERT_EQ(again.size(), 2u);
@@ -308,6 +339,32 @@ TEST_F(PipelineTest, SeededGenerationIsReproducible) {
        ++i) {
     if (other[0].packets[i].serialize() != first[0].packets[i].serialize() ||
         other[0].packets[i].timestamp != first[0].packets[i].timestamp) {
+      any_diff = true;
+    }
+  }
+  EXPECT_TRUE(any_diff);
+}
+
+TEST_F(PipelineTest, DeblurIsSeeded) {
+  // Deblurring draws all of its noise (inpainting and timestamp gaps)
+  // from its seed: the same seed restores the same flow bit for bit,
+  // with a generation call in between, and another seed another flow.
+  const LossyFlow lossy = lossy_teams_flow();
+  GenerateOptions opts;
+  opts.ddim_steps = 6;
+  const net::Flow first =
+      pipeline_->deblur(lossy.corrupted, lossy.known, 1, opts, 21);
+  (void)pipeline_->generate_seeded(1, opts, 21);
+  const net::Flow again =
+      pipeline_->deblur(lossy.corrupted, lossy.known, 1, opts, 21);
+  expect_flows_identical(first, again);
+  const net::Flow other =
+      pipeline_->deblur(lossy.corrupted, lossy.known, 1, opts, 22);
+  bool any_diff = other.packets.size() != first.packets.size();
+  for (std::size_t i = 0; i < other.packets.size() && i < first.packets.size();
+       ++i) {
+    if (other.packets[i].serialize() != first.packets[i].serialize() ||
+        other.packets[i].timestamp != first.packets[i].timestamp) {
       any_diff = true;
     }
   }
@@ -405,7 +462,7 @@ TEST_F(PipelineTest, SaveLoadRoundTrip) {
   GenerateOptions opts;
   opts.count = 1;
   opts.ddim_steps = 4;
-  const auto flows = restored.generate(0, opts);
+  const auto flows = restored.generate_seeded(0, opts, 14);
   EXPECT_EQ(flows.size(), 1u);
   std::remove((prefix + ".weights").c_str());
   std::remove((prefix + ".meta").c_str());
@@ -420,8 +477,10 @@ TEST(Pipeline, SaveBeforeFitThrows) {
 TEST(Pipeline, GenerateBeforeFitThrows) {
   TraceDiffusion fresh(tiny_config(), {"a", "b"});
   GenerateOptions opts;
-  EXPECT_THROW(fresh.generate(0, opts), std::logic_error);
-  EXPECT_THROW(fresh.generate_matrix(0, opts), std::logic_error);
+  EXPECT_THROW(fresh.generate_seeded(0, opts, 1), std::logic_error);
+  EXPECT_THROW(fresh.generate_dataset({1, 1}, opts, 1), std::logic_error);
+  EXPECT_THROW(fresh.deblur(net::Flow{}, {true}, 0, opts, 1),
+               std::logic_error);
 }
 
 TEST(Pipeline, RejectsBadPacketCount) {

@@ -18,12 +18,10 @@ EpsFn zero_eps() {
 
 TEST(Ddim, ShapeAndDeterminismWithEtaZero) {
   NoiseSchedule schedule(50, ScheduleKind::kLinear);
-  Rng rng1(7), rng2(7);
+  std::vector<Rng> rngs1{Rng(7), Rng(8)}, rngs2{Rng(7), Rng(8)};
   const std::vector<std::size_t> shape{2, 3, 4};
-  const nn::Tensor a =
-      ddim_sample(zero_eps(), schedule, shape, 10, 0.0f, {&rng1, 1});
-  const nn::Tensor b =
-      ddim_sample(zero_eps(), schedule, shape, 10, 0.0f, {&rng2, 1});
+  const nn::Tensor a = ddim_sample(zero_eps(), schedule, shape, 10, 0.0f, rngs1);
+  const nn::Tensor b = ddim_sample(zero_eps(), schedule, shape, 10, 0.0f, rngs2);
   EXPECT_EQ(a.shape(), shape);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]);
@@ -111,9 +109,8 @@ TEST(Ddpm, VisitsAllTimestepsInReverse) {
 
 TEST(Ddpm, OutputIsFinite) {
   NoiseSchedule schedule(30, ScheduleKind::kCosine);
-  Rng rng(8);
-  const nn::Tensor out =
-      ddpm_sample(zero_eps(), schedule, {2, 2, 4}, {&rng, 1});
+  std::vector<Rng> rngs{Rng(8), Rng(18)};
+  const nn::Tensor out = ddpm_sample(zero_eps(), schedule, {2, 2, 4}, rngs);
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_TRUE(std::isfinite(out[i]));
   }
@@ -279,24 +276,27 @@ TEST(Ddim, SingleStepJumpsToX0Estimate) {
   }
 }
 
-TEST(NoiseStreams, SpanMustHoldOneStreamOrOnePerSample) {
+TEST(NoiseStreams, SpanMustHoldExactlyOneStreamPerSample) {
+  // Three samples take exactly three streams: one shared stream, two,
+  // four or none all throw.
   NoiseSchedule schedule(10, ScheduleKind::kLinear);
-  std::vector<Rng> two(2, Rng(1));
   const std::vector<std::size_t> shape{3, 1, 4};
-  EXPECT_THROW(ddim_sample(zero_eps(), schedule, shape, 4, 0.0f, two),
-               std::invalid_argument);
-  EXPECT_THROW(ddpm_sample(zero_eps(), schedule, shape, two),
-               std::invalid_argument);
-  EXPECT_THROW(
-      ddim_sample_from(zero_eps(), schedule, nn::Tensor(shape), 5, 3, 0.0f,
-                       two),
-      std::invalid_argument);
-  EXPECT_THROW(
-      ddpm_sample_from(zero_eps(), schedule, nn::Tensor(shape), 5, two),
-      std::invalid_argument);
-  std::vector<Rng> none;
-  EXPECT_THROW(ddpm_sample(zero_eps(), schedule, shape, none),
-               std::invalid_argument);
+  for (const std::size_t streams : {0u, 1u, 2u, 4u}) {
+    SCOPED_TRACE(streams);
+    std::vector<Rng> rngs(streams, Rng(1));
+    EXPECT_THROW(ddim_sample(zero_eps(), schedule, shape, 4, 0.0f, rngs),
+                 std::invalid_argument);
+    EXPECT_THROW(ddpm_sample(zero_eps(), schedule, shape, rngs),
+                 std::invalid_argument);
+    EXPECT_THROW(ddim_sample_from(zero_eps(), schedule, nn::Tensor(shape), 5,
+                                  3, 0.0f, rngs),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        ddpm_sample_from(zero_eps(), schedule, nn::Tensor(shape), 5, rngs),
+        std::invalid_argument);
+  }
+  std::vector<Rng> three(3, Rng(1));
+  EXPECT_NO_THROW(ddim_sample(zero_eps(), schedule, shape, 4, 0.0f, three));
 }
 
 }  // namespace

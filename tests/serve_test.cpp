@@ -213,6 +213,50 @@ TEST_F(ServeTest, ServedResponseMatchesLibraryBitExact) {
   parallel::set_thread_count(original_lanes);
 }
 
+TEST_F(ServeTest, DatasetClassSliceIsServedBitExact) {
+  // Any flow of a generated dataset can be regenerated on its own:
+  // class c's slice of generate_dataset(per_class, opts, seed) is, byte
+  // for byte, the served response to (class c, seed fork_flow_seed(seed,
+  // c), count per_class[c]), even when both requests share one batch.
+  diffusion::GenerateOptions opts;
+  opts.ddim_steps = 4;
+  const std::vector<std::size_t> per_class{2, 3};
+  const std::uint64_t seed = 2023;
+  const flowgen::Dataset dataset =
+      pipeline_->generate_dataset(per_class, opts, seed);
+  ASSERT_EQ(dataset.size(), 5u);
+
+  ServiceConfig cfg = fast_config();
+  cfg.cache_capacity = 0;  // force the full generation path
+  TraceService service(registry_, cfg);
+  std::vector<SubmitResult> submitted;
+  for (std::size_t c = 0; c < per_class.size(); ++c) {
+    submitted.push_back(service.submit(request(
+        static_cast<int>(c), diffusion::fork_flow_seed(seed, c), per_class[c])));
+    ASSERT_TRUE(submitted.back().accepted);
+  }
+  service.drain();
+
+  std::size_t offset = 0;
+  for (std::size_t c = 0; c < per_class.size(); ++c) {
+    SCOPED_TRACE(c);
+    const Response response = submitted[c].response.get();
+    ASSERT_EQ(response.status, ResponseStatus::kOk);
+    ASSERT_EQ(response.flows.size(), per_class[c]);
+    for (const net::Flow& served : response.flows) {
+      const net::Flow& library = dataset.flows[offset++];
+      EXPECT_EQ(served.label, static_cast<int>(c));
+      EXPECT_EQ(library.label, static_cast<int>(c));
+      ASSERT_EQ(served.packets.size(), library.packets.size());
+      for (std::size_t i = 0; i < served.packets.size(); ++i) {
+        EXPECT_EQ(served.packets[i].serialize(),
+                  library.packets[i].serialize());
+        EXPECT_EQ(served.packets[i].timestamp, library.packets[i].timestamp);
+      }
+    }
+  }
+}
+
 TEST_F(ServeTest, RepeatedRequestIsCacheHitWithIdenticalPayload) {
   TraceService service(registry_, fast_config());
   auto first = service.submit(request(0, 123, 2));
