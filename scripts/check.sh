@@ -44,18 +44,21 @@ ctest --test-dir "$BUILD_DIR" -L serve --output-on-failure
 echo "== socket front-end (label: serve_net) =="
 ctest --test-dir "$BUILD_DIR" -L serve_net --output-on-failure
 
-echo "== executor determinism, repeated (ShardTest x20) =="
-# The executors share one model through its const sampling path; a write
-# to shared model state shows up here as a flaky byte mismatch or crash.
-ctest --test-dir "$BUILD_DIR" -R ShardTest --repeat until-fail:20 \
-  --output-on-failure
+echo "== shared-model determinism, repeated (ShardTest, SamplingConcurrency x20) =="
+# The executors, and the two raw threads of SamplingConcurrency, share
+# one model through its const sampling path; a write to shared model
+# state shows up here as a flaky byte mismatch or crash. The toy model
+# they sample is one whose bytes depend on its weights (ToyModelTest).
+ctest --test-dir "$BUILD_DIR" -R "ShardTest|SamplingConcurrency" \
+  --repeat until-fail:20 --output-on-failure
 
 echo "== sanitizers: ASan+UBSan, libstdc++ assertions (label: sanitize) =="
 # A second tree with address+undefined instrumentation and checked
 # libstdc++ containers; the `sanitize` label selects the suites cheap
 # enough to run there (socket server, the service and its executors,
 # lane concurrency, checkpoint bounds, parallel layer, telemetry, the nn
-# kernels and gradient checks, the determinism lane sweeps). Under -fsanitize=address GCC 12
+# kernels and gradient checks, the determinism lane sweeps, and the
+# guard that the shared toy model's bytes follow its weights). Under -fsanitize=address GCC 12
 # reports -Wmaybe-uninitialized inside libstdc++'s <regex> (repro_lint),
 # so that one warning stays a warning in this tree.
 ASAN_DIR="$BUILD_DIR-asan"

@@ -27,9 +27,9 @@
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "diffusion/pipeline.hpp"
-#include "flowgen/generator.hpp"
 #include "nn/linear.hpp"
 #include "nn/serialize.hpp"
+#include "support/toy_model.hpp"
 
 // The replaced global allocator below intentionally pairs ::operator new
 // with std::free; GCC cannot see that the new side is malloc-backed.
@@ -115,18 +115,14 @@ TEST_F(WeightsBounds, LyingRankThrowsBeforeAllocating) {
 
 // --- TraceDiffusion::load meta ----------------------------------------------
 
-diffusion::PipelineConfig toy_config() {
-  diffusion::PipelineConfig cfg;
-  cfg.packets = 4;
-  cfg.autoencoder.hidden_dim = 16;
-  cfg.autoencoder.latent_dim = 4;
-  cfg.unet.base_channels = 4;
-  cfg.unet.temb_dim = 8;
-  cfg.unet.groups = 2;
+/// The toy model with a 10-step schedule, which the lying stages below
+/// are sized against, and one epoch per stage: these cases need a
+/// checkpoint that loads, not a trained model, and fit one per test.
+diffusion::PipelineConfig bounds_config() {
+  diffusion::PipelineConfig cfg = toy::config();
   cfg.timesteps = 10;
   cfg.ae_epochs = 1;
   cfg.diffusion_epochs = 1;
-  cfg.diffusion_batch = 4;
   cfg.control_epochs = 1;
   return cfg;
 }
@@ -136,16 +132,8 @@ diffusion::PipelineConfig toy_config() {
 class MetaBounds : public ::testing::Test {
  protected:
   void SetUp() override {
-    Rng rng(5);
-    flowgen::Dataset ds;
-    for (int label = 0; label < 2; ++label) {
-      net::Flow flow = flowgen::generate_flow(
-          label == 0 ? flowgen::App::kNetflix : flowgen::App::kTeams, 4, rng);
-      flow.label = label;
-      ds.flows.push_back(std::move(flow));
-    }
-    diffusion::TraceDiffusion pipeline(toy_config(), {"a", "b"});
-    pipeline.fit(ds);
+    diffusion::TraceDiffusion pipeline(bounds_config(), {"a", "b"});
+    pipeline.fit(toy::dataset(1));
     pipeline.save(prefix_);
     std::ifstream in(prefix_ + ".meta", std::ios::binary);
     saved_meta_.assign(std::istreambuf_iterator<char>(in), {});
@@ -166,7 +154,7 @@ class MetaBounds : public ::testing::Test {
       write_pod(out, 1.0f);  // latent scale
       body(out);
     });
-    diffusion::TraceDiffusion fresh(toy_config(), {"a", "b"});
+    diffusion::TraceDiffusion fresh(bounds_config(), {"a", "b"});
     EXPECT_THROW(fresh.load(prefix_), std::runtime_error);
   }
 
@@ -204,7 +192,7 @@ TEST_F(MetaBounds, TemplateClassOutOfRangeThrows) {
     ASSERT_GT(meta.size(), 16u);
     std::memcpy(meta.data() + 12, &class_id, sizeof class_id);
     write_file(prefix_ + ".meta", [&](std::ostream& out) { out << meta; });
-    diffusion::TraceDiffusion fresh(toy_config(), {"a", "b"});
+    diffusion::TraceDiffusion fresh(bounds_config(), {"a", "b"});
     EXPECT_THROW(fresh.load(prefix_), std::runtime_error) << class_id;
   }
 }
@@ -232,7 +220,7 @@ TEST_F(MetaBounds, LyingDistilledStageThrows) {
 }
 
 TEST_F(MetaBounds, SavedCheckpointStillLoads) {
-  diffusion::TraceDiffusion pipeline(toy_config(), {"a", "b"});
+  diffusion::TraceDiffusion pipeline(bounds_config(), {"a", "b"});
   pipeline.load(prefix_);
   diffusion::GenerateOptions opts;
   opts.ddim_steps = 2;

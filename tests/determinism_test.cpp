@@ -31,8 +31,10 @@
 #include "nn/tensor.hpp"
 #include "nprint/codec.hpp"
 #include "replay/emit/emitter.hpp"
+#include "serve/net/protocol.hpp"
 #include "serve/registry.hpp"
 #include "serve/service.hpp"
+#include "support/toy_model.hpp"
 
 namespace repro {
 namespace {
@@ -49,19 +51,6 @@ std::uint64_t hash_floats(const float* data, std::size_t count) {
 
 std::uint64_t hash_tensor(const nn::Tensor& t) {
   return hash_floats(t.data(), t.size());
-}
-
-std::uint64_t hash_flows(const std::vector<net::Flow>& flows) {
-  std::uint64_t h = kFnvOffset;
-  for (const auto& flow : flows) {
-    hash_bytes(h, &flow.label, sizeof(flow.label));
-    for (const auto& pkt : flow.packets) {
-      hash_bytes(h, &pkt.timestamp, sizeof(pkt.timestamp));
-      const auto wire = pkt.serialize();
-      hash_bytes(h, wire.data(), wire.size());
-    }
-  }
-  return h;
 }
 
 /// Runs `scenario` at 1, 2 and 8 lanes and asserts bit-identical hashes.
@@ -234,7 +223,7 @@ TEST(Determinism, FlowgenDatasetBuild) {
   expect_thread_invariant("flowgen dataset", [] {
     Rng rng(47);
     const flowgen::Dataset data = flowgen::build_table1_dataset(5, rng);
-    return hash_flows(data.flows);
+    return serve::wire::hash_flows(data.flows);
   });
 }
 
@@ -286,33 +275,7 @@ TEST(Determinism, ServedReplayEmissionMatchesLibrary) {
   // direct generate_seeded path, and those bytes must not move with the
   // lane count. The tiny pipeline is trained once, outside the
   // lane-swept scenario — only generation and emission are under test.
-  diffusion::PipelineConfig cfg;
-  cfg.packets = 8;
-  cfg.autoencoder.hidden_dim = 48;
-  cfg.autoencoder.latent_dim = 8;
-  cfg.unet.base_channels = 8;
-  cfg.unet.temb_dim = 16;
-  cfg.unet.groups = 4;
-  cfg.timesteps = 20;
-  cfg.ae_epochs = 10;
-  cfg.diffusion_epochs = 2;
-  cfg.control_epochs = 1;
-  cfg.seed = 5;
-  auto pipeline = std::make_shared<diffusion::TraceDiffusion>(
-      cfg, std::vector<std::string>{"netflix", "teams"});
-  {
-    Rng rng(77);
-    flowgen::Dataset ds;
-    for (std::size_t i = 0; i < 5; ++i) {
-      net::Flow a = flowgen::generate_flow(flowgen::App::kNetflix, 8, rng);
-      a.label = 0;
-      ds.flows.push_back(std::move(a));
-      net::Flow b = flowgen::generate_flow(flowgen::App::kTeams, 8, rng);
-      b.label = 1;
-      ds.flows.push_back(std::move(b));
-    }
-    pipeline->fit(ds);
-  }
+  const auto pipeline = toy::train();
 
   expect_thread_invariant("served replay emission", [&pipeline] {
     replay::emit::EmitConfig config;
@@ -381,7 +344,7 @@ TEST(Determinism, NprintEncodeDecodeRoundtrip) {
       hash_bytes(h, matrix.data().data(),
                  matrix.data().size() * sizeof(float));
       const net::Flow decoded = nprint::decode_flow(matrix);
-      const std::uint64_t fh = hash_flows({decoded});
+      const std::uint64_t fh = serve::wire::hash_flows({decoded});
       hash_bytes(h, &fh, sizeof(fh));
     }
     return h;

@@ -11,48 +11,16 @@
 
 #include "flowgen/generator.hpp"
 #include "nprint/codec.hpp"
+#include "support/toy_model.hpp"
 
 namespace repro::diffusion {
 namespace {
 
-PipelineConfig tiny_config() {
-  PipelineConfig cfg;
-  cfg.packets = 8;
-  cfg.autoencoder.hidden_dim = 48;
-  cfg.autoencoder.latent_dim = 8;
-  cfg.unet.base_channels = 8;
-  cfg.unet.temb_dim = 16;
-  cfg.unet.groups = 4;
-  cfg.timesteps = 20;
-  cfg.ae_epochs = 15;
-  cfg.diffusion_epochs = 3;
-  cfg.diffusion_batch = 4;
-  cfg.control_epochs = 2;
-  cfg.seed = 5;
-  return cfg;
-}
-
-flowgen::Dataset tiny_dataset(std::size_t per_class) {
-  Rng rng(77);
-  // Two-class subset (netflix, teams) keeps runtime small while covering
-  // a TCP-dominant and a UDP-dominant class.
-  flowgen::Dataset ds;
-  for (std::size_t i = 0; i < per_class; ++i) {
-    net::Flow a = flowgen::generate_flow(flowgen::App::kNetflix, 8, rng);
-    a.label = 0;
-    ds.flows.push_back(std::move(a));
-    net::Flow b = flowgen::generate_flow(flowgen::App::kTeams, 8, rng);
-    b.label = 1;
-    ds.flows.push_back(std::move(b));
-  }
-  return ds;
-}
-
 class PipelineTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    pipeline_ = new TraceDiffusion(tiny_config(), {"netflix", "teams"});
-    stats_ = pipeline_->fit(tiny_dataset(6));
+    pipeline_ = new TraceDiffusion(toy::config(), toy::classes());
+    stats_ = pipeline_->fit(toy::dataset());
   }
   static void TearDownTestSuite() {
     delete pipeline_;
@@ -272,7 +240,7 @@ TEST_F(PipelineTest, DeblurRestoresMissingPackets) {
 }
 
 TEST(Pipeline, DeblurBeforeFitThrows) {
-  TraceDiffusion fresh(tiny_config(), {"a", "b"});
+  TraceDiffusion fresh(toy::config(), {"a", "b"});
   net::Flow flow;
   EXPECT_THROW(fresh.deblur(flow, {true}, 0, GenerateOptions{}, 1),
                std::logic_error);
@@ -432,7 +400,7 @@ TEST_F(PipelineTest, SeededGenerationBatchInvariantUnderDdpm) {
 TEST_F(PipelineTest, FlowSeedValidation) {
   GenerateOptions opts;
   EXPECT_TRUE(pipeline_->generate_with_flow_seeds(0, opts, {}).empty());
-  TraceDiffusion fresh(tiny_config(), {"a", "b"});
+  TraceDiffusion fresh(toy::config(), {"a", "b"});
   EXPECT_THROW(fresh.generate_with_flow_seeds(0, opts, {1}),
                std::logic_error);
   EXPECT_THROW(pipeline_->generate_with_flow_seeds(9, opts, {1}),
@@ -448,7 +416,7 @@ TEST_F(PipelineTest, SaveLoadRoundTrip) {
   const std::string prefix = "/tmp/repro_pipeline_ckpt";
   pipeline_->save(prefix);
 
-  TraceDiffusion restored(tiny_config(), {"netflix", "teams"});
+  TraceDiffusion restored(toy::config(), toy::classes());
   restored.load(prefix);
   EXPECT_FLOAT_EQ(restored.latent_scale(), pipeline_->latent_scale());
   // Templates restored (class template exists and matches protocol).
@@ -469,13 +437,13 @@ TEST_F(PipelineTest, SaveLoadRoundTrip) {
 }
 
 TEST(Pipeline, SaveBeforeFitThrows) {
-  TraceDiffusion fresh(tiny_config(), {"a", "b"});
+  TraceDiffusion fresh(toy::config(), {"a", "b"});
   EXPECT_THROW(fresh.save("/tmp/repro_nofit"), std::logic_error);
   EXPECT_THROW(fresh.load("/tmp/repro_missing_ckpt"), std::runtime_error);
 }
 
 TEST(Pipeline, GenerateBeforeFitThrows) {
-  TraceDiffusion fresh(tiny_config(), {"a", "b"});
+  TraceDiffusion fresh(toy::config(), {"a", "b"});
   GenerateOptions opts;
   EXPECT_THROW(fresh.generate_seeded(0, opts, 1), std::logic_error);
   EXPECT_THROW(fresh.generate_dataset({1, 1}, opts, 1), std::logic_error);
@@ -484,27 +452,27 @@ TEST(Pipeline, GenerateBeforeFitThrows) {
 }
 
 TEST(Pipeline, RejectsBadPacketCount) {
-  PipelineConfig cfg = tiny_config();
+  PipelineConfig cfg = toy::config();
   cfg.packets = 10;  // not divisible by 4
   EXPECT_THROW(TraceDiffusion(cfg, {"a"}), std::invalid_argument);
 }
 
 TEST(Pipeline, FitRejectsEmptyDataset) {
-  TraceDiffusion fresh(tiny_config(), {"a", "b"});
+  TraceDiffusion fresh(toy::config(), {"a", "b"});
   EXPECT_THROW(fresh.fit(flowgen::Dataset{}), std::invalid_argument);
 }
 
 TEST(Pipeline, LoraFineTuneRequiresRankAndFit) {
-  PipelineConfig cfg = tiny_config();
+  PipelineConfig cfg = toy::config();
   TraceDiffusion no_rank(cfg, {"a", "b"});
-  EXPECT_THROW(no_rank.fit_lora(tiny_dataset(1), 1), std::logic_error);
+  EXPECT_THROW(no_rank.fit_lora(toy::dataset(1), 1), std::logic_error);
 
   cfg.unet.lora_rank = 2;
   cfg.train_control = false;
-  TraceDiffusion with_rank(cfg, {"netflix", "teams"});
-  EXPECT_THROW(with_rank.fit_lora(tiny_dataset(1), 1), std::logic_error);
-  with_rank.fit(tiny_dataset(3));
-  const float loss = with_rank.fit_lora(tiny_dataset(2), 1);
+  TraceDiffusion with_rank(cfg, toy::classes());
+  EXPECT_THROW(with_rank.fit_lora(toy::dataset(1), 1), std::logic_error);
+  with_rank.fit(toy::dataset(3));
+  const float loss = with_rank.fit_lora(toy::dataset(2), 1);
   EXPECT_TRUE(std::isfinite(loss));
   // Base must be unfrozen again afterwards.
   for (nn::Parameter* p : with_rank.unet().parameters()) {

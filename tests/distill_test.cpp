@@ -9,11 +9,12 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "diffusion/pipeline.hpp"
-#include "flowgen/generator.hpp"
+#include "support/toy_model.hpp"
 
 namespace repro::diffusion {
 namespace {
@@ -179,37 +180,6 @@ TEST(Distill, RejectsMalformedInputs) {
 // ---------------------------------------------------------------------
 // Pipeline integration: fit once, distill once, share across tests.
 
-PipelineConfig tiny_config() {
-  PipelineConfig cfg;
-  cfg.packets = 8;
-  cfg.autoencoder.hidden_dim = 48;
-  cfg.autoencoder.latent_dim = 8;
-  cfg.unet.base_channels = 8;
-  cfg.unet.temb_dim = 16;
-  cfg.unet.groups = 4;
-  cfg.timesteps = 20;
-  cfg.ae_epochs = 15;
-  cfg.diffusion_epochs = 3;
-  cfg.diffusion_batch = 4;
-  cfg.control_epochs = 2;
-  cfg.seed = 5;
-  return cfg;
-}
-
-flowgen::Dataset tiny_dataset(std::size_t per_class) {
-  Rng rng(77);
-  flowgen::Dataset ds;
-  for (std::size_t i = 0; i < per_class; ++i) {
-    net::Flow a = flowgen::generate_flow(flowgen::App::kNetflix, 8, rng);
-    a.label = 0;
-    ds.flows.push_back(std::move(a));
-    net::Flow b = flowgen::generate_flow(flowgen::App::kTeams, 8, rng);
-    b.label = 1;
-    ds.flows.push_back(std::move(b));
-  }
-  return ds;
-}
-
 bool flows_equal(const std::vector<net::Flow>& a,
                  const std::vector<net::Flow>& b) {
   if (a.size() != b.size()) return false;
@@ -229,18 +199,14 @@ bool flows_equal(const std::vector<net::Flow>& a,
 class DistillPipelineTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    pipeline_ = new TraceDiffusion(tiny_config(), {"netflix", "teams"});
-    pipeline_->fit(tiny_dataset(4));
+    pipeline_ = toy::train();
     DistillConfig cfg;
     cfg.teacher_steps = 8;
     cfg.rounds = 2;
     cfg.calibration_count = 2;
     fitted_stages_ = pipeline_->distill(cfg);
   }
-  static void TearDownTestSuite() {
-    delete pipeline_;
-    pipeline_ = nullptr;
-  }
+  static void TearDownTestSuite() { pipeline_.reset(); }
   static GenerateOptions distilled_opts(std::size_t steps) {
     GenerateOptions opts;
     opts.sampler = SamplerKind::kDistilled;
@@ -248,11 +214,11 @@ class DistillPipelineTest : public ::testing::Test {
     opts.count = 2;
     return opts;
   }
-  static TraceDiffusion* pipeline_;
+  static std::shared_ptr<TraceDiffusion> pipeline_;
   static std::size_t fitted_stages_;
 };
 
-TraceDiffusion* DistillPipelineTest::pipeline_ = nullptr;
+std::shared_ptr<TraceDiffusion> DistillPipelineTest::pipeline_;
 std::size_t DistillPipelineTest::fitted_stages_ = 0;
 
 TEST_F(DistillPipelineTest, FitsHalvedStagesPerClass) {
@@ -309,7 +275,7 @@ TEST_F(DistillPipelineTest, RejectsUnfittedStepCount) {
 TEST_F(DistillPipelineTest, CheckpointRoundTripPreservesStagesBitExactly) {
   const char* prefix = "/tmp/repro_distill_ckpt";
   pipeline_->save(prefix);
-  TraceDiffusion restored(tiny_config(), {"netflix", "teams"});
+  TraceDiffusion restored(toy::config(), toy::classes());
   restored.load(prefix);
   EXPECT_EQ(restored.distilled_step_counts(),
             pipeline_->distilled_step_counts());

@@ -10,42 +10,16 @@
 #include <string>
 
 #include "diffusion/pipeline.hpp"
-#include "flowgen/generator.hpp"
 #include "serve/registry.hpp"
+#include "support/toy_model.hpp"
 
 namespace repro::diffusion {
 namespace {
 
 PipelineConfig lora_config() {
-  PipelineConfig cfg;
-  cfg.packets = 8;
-  cfg.autoencoder.hidden_dim = 48;
-  cfg.autoencoder.latent_dim = 8;
-  cfg.unet.base_channels = 8;
-  cfg.unet.temb_dim = 16;
-  cfg.unet.groups = 4;
+  PipelineConfig cfg = toy::config();
   cfg.unet.lora_rank = 2;  // LoRA adapters in the checkpoint
-  cfg.timesteps = 20;
-  cfg.ae_epochs = 12;
-  cfg.diffusion_epochs = 2;
-  cfg.diffusion_batch = 4;
-  cfg.control_epochs = 1;  // ControlNet branch trained too
-  cfg.seed = 9;
   return cfg;
-}
-
-flowgen::Dataset small_dataset(std::size_t per_class, std::uint64_t seed) {
-  Rng rng(seed);
-  flowgen::Dataset ds;
-  for (std::size_t i = 0; i < per_class; ++i) {
-    net::Flow a = flowgen::generate_flow(flowgen::App::kNetflix, 8, rng);
-    a.label = 0;
-    ds.flows.push_back(std::move(a));
-    net::Flow b = flowgen::generate_flow(flowgen::App::kTeams, 8, rng);
-    b.label = 1;
-    ds.flows.push_back(std::move(b));
-  }
-  return ds;
 }
 
 void expect_same_packets(const std::vector<net::Flow>& a,
@@ -79,9 +53,9 @@ TEST(PipelineCheckpoint, FullRoundTripGeneratesIdenticalFlows) {
 
   std::vector<net::Flow> expected_a, expected_b, expected_ddpm;
   {
-    TraceDiffusion trained(lora_config(), {"netflix", "teams"});
-    trained.fit(small_dataset(4, 77));
-    trained.fit_lora(small_dataset(2, 88), /*epochs=*/1);  // adapters != 0
+    TraceDiffusion trained(lora_config(), toy::classes());
+    trained.fit(toy::dataset());
+    trained.fit_lora(toy::dataset(2), /*epochs=*/1);  // adapters != 0
     trained.save(prefix);
     expected_a = trained.generate_seeded(0, opts, 31337);
     expected_b = trained.generate_seeded(1, opts, 31338);
@@ -91,7 +65,7 @@ TEST(PipelineCheckpoint, FullRoundTripGeneratesIdenticalFlows) {
     expected_ddpm = trained.generate_seeded(0, ddpm, 99);
   }  // trained pipeline destroyed: only the checkpoint survives
 
-  TraceDiffusion restored(lora_config(), {"netflix", "teams"});
+  TraceDiffusion restored(lora_config(), toy::classes());
   restored.load(prefix);
   expect_same_flows(restored.generate_seeded(0, opts, 31337), expected_a);
   expect_same_flows(restored.generate_seeded(1, opts, 31338), expected_b);
@@ -113,19 +87,19 @@ TEST(PipelineCheckpoint, RegistryLoadsCheckpointWithLoraOverlay) {
 
   std::vector<net::Flow> base_flows, tuned_flows;
   {
-    TraceDiffusion trained(lora_config(), {"netflix", "teams"});
-    trained.fit(small_dataset(4, 77));
+    TraceDiffusion trained(lora_config(), toy::classes());
+    trained.fit(toy::dataset());
     trained.save(prefix);  // base checkpoint: adapters still at init
     base_flows = trained.generate_seeded(0, opts, 5);
-    trained.fit_lora(small_dataset(3, 88), /*epochs=*/2);
+    trained.fit_lora(toy::dataset(3), /*epochs=*/2);
     serve::save_lora_adapter(trained, lora_path);  // adapter-only file
     tuned_flows = trained.generate_seeded(0, opts, 5);
   }
 
   serve::ModelRegistry registry;
-  registry.load_checkpoint("base", lora_config(), {"netflix", "teams"},
+  registry.load_checkpoint("base", lora_config(), toy::classes(),
                            prefix, "b1");
-  registry.load_checkpoint("tuned", lora_config(), {"netflix", "teams"},
+  registry.load_checkpoint("tuned", lora_config(), toy::classes(),
                            prefix, "t1", lora_path);
   ASSERT_EQ(registry.size(), 2u);
 
@@ -143,7 +117,7 @@ TEST(PipelineCheckpoint, RegistryLoadsCheckpointWithLoraOverlay) {
   expect_same_packets(tuned_served, tuned_flows);
   // And it is bit-identical (timestamps included) to a manual
   // load-base-then-overlay reconstruction — what hot-swap replays.
-  TraceDiffusion manual(lora_config(), {"netflix", "teams"});
+  TraceDiffusion manual(lora_config(), toy::classes());
   manual.load(prefix);
   serve::load_lora_adapter(manual, lora_path);
   expect_same_flows(manual.generate_seeded(0, opts, 5), tuned_served);
@@ -151,7 +125,7 @@ TEST(PipelineCheckpoint, RegistryLoadsCheckpointWithLoraOverlay) {
   // Adapter helpers refuse models without LoRA rank.
   PipelineConfig no_rank = lora_config();
   no_rank.unet.lora_rank = 0;
-  TraceDiffusion plain(no_rank, {"netflix", "teams"});
+  TraceDiffusion plain(no_rank, toy::classes());
   EXPECT_THROW(serve::lora_adapter_parameters(plain), std::logic_error);
 
   std::remove((prefix + ".weights").c_str());

@@ -19,6 +19,7 @@
 #include "replay/functions.hpp"
 #include "serve/registry.hpp"
 #include "serve/service.hpp"
+#include "support/toy_model.hpp"
 
 namespace repro::replay::emit {
 namespace {
@@ -331,42 +332,10 @@ TEST(ChainSink, StrictConntrackAcceptsEmittedSessionsAtRate) {
 // Served source: one tiny trained pipeline shared across the fixture
 // (training is the expensive part), cooperative pump on a fake clock.
 
-diffusion::PipelineConfig tiny_config() {
-  diffusion::PipelineConfig cfg;
-  cfg.packets = 8;
-  cfg.autoencoder.hidden_dim = 48;
-  cfg.autoencoder.latent_dim = 8;
-  cfg.unet.base_channels = 8;
-  cfg.unet.temb_dim = 16;
-  cfg.unet.groups = 4;
-  cfg.timesteps = 20;
-  cfg.ae_epochs = 10;
-  cfg.diffusion_epochs = 2;
-  cfg.control_epochs = 1;
-  cfg.seed = 5;
-  return cfg;
-}
-
-flowgen::Dataset tiny_dataset(std::size_t per_class) {
-  Rng rng(77);
-  flowgen::Dataset ds;
-  for (std::size_t i = 0; i < per_class; ++i) {
-    net::Flow a = flowgen::generate_flow(flowgen::App::kNetflix, 8, rng);
-    a.label = 0;
-    ds.flows.push_back(std::move(a));
-    net::Flow b = flowgen::generate_flow(flowgen::App::kTeams, 8, rng);
-    b.label = 1;
-    ds.flows.push_back(std::move(b));
-  }
-  return ds;
-}
-
 class ServedEmitTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    pipeline_ = std::make_shared<diffusion::TraceDiffusion>(
-        tiny_config(), std::vector<std::string>{"netflix", "teams"});
-    pipeline_->fit(tiny_dataset(5));
+    pipeline_ = toy::train();
   }
   static void TearDownTestSuite() { pipeline_.reset(); }
 

@@ -13,42 +13,11 @@
 #include <vector>
 
 #include "diffusion/pipeline.hpp"
-#include "flowgen/generator.hpp"
 #include "serve/net/protocol.hpp"
+#include "support/toy_model.hpp"
 
 namespace repro::diffusion {
 namespace {
-
-PipelineConfig tiny_config() {
-  PipelineConfig cfg;
-  cfg.packets = 8;
-  cfg.autoencoder.hidden_dim = 48;
-  cfg.autoencoder.latent_dim = 8;
-  cfg.unet.base_channels = 8;
-  cfg.unet.temb_dim = 16;
-  cfg.unet.groups = 4;
-  cfg.timesteps = 20;
-  cfg.ae_epochs = 4;
-  cfg.diffusion_epochs = 2;
-  cfg.diffusion_batch = 4;
-  cfg.control_epochs = 1;
-  cfg.seed = 9;
-  return cfg;
-}
-
-flowgen::Dataset tiny_dataset() {
-  Rng rng(31);
-  flowgen::Dataset ds;
-  for (int i = 0; i < 4; ++i) {
-    net::Flow a = flowgen::generate_flow(flowgen::App::kNetflix, 8, rng);
-    a.label = 0;
-    ds.flows.push_back(std::move(a));
-    net::Flow b = flowgen::generate_flow(flowgen::App::kTeams, 8, rng);
-    b.label = 1;
-    ds.flows.push_back(std::move(b));
-  }
-  return ds;
-}
 
 /// Flow seeds of thread `t`'s batch in round `r`: two flows, distinct
 /// across threads and rounds.
@@ -58,9 +27,8 @@ std::vector<std::uint64_t> flow_seeds(std::size_t t, std::size_t r) {
 }
 
 TEST(SamplingConcurrency, TwoThreadsOnOneModelMatchSerialHashes) {
-  TraceDiffusion pipeline(tiny_config(), {"netflix", "teams"});
-  pipeline.fit(tiny_dataset());
-  const TraceDiffusion& model = pipeline;
+  const auto pipeline = toy::train();
+  const TraceDiffusion& model = *pipeline;
   GenerateOptions opts;
   opts.ddim_steps = 4;
 

@@ -30,6 +30,7 @@
 #include "serve/net/client.hpp"
 #include "serve/net/server.hpp"
 #include "serve/service.hpp"
+#include "support/toy_model.hpp"
 
 namespace repro::serve::wire {
 namespace {
@@ -64,15 +65,8 @@ GenerateRequest sample_request() {
 
 /// A toy model that was never fitted: sampling it throws.
 std::shared_ptr<diffusion::TraceDiffusion> unfitted_model() {
-  diffusion::PipelineConfig model_cfg;
-  model_cfg.packets = 4;
-  model_cfg.autoencoder.hidden_dim = 8;
-  model_cfg.autoencoder.latent_dim = 2;
-  model_cfg.unet.base_channels = 4;
-  model_cfg.unet.temb_dim = 4;
-  model_cfg.unet.groups = 2;
-  return std::make_shared<diffusion::TraceDiffusion>(
-      model_cfg, std::vector<std::string>{"a", "b"});
+  return std::make_shared<diffusion::TraceDiffusion>(toy::config(),
+                                                     toy::classes());
 }
 
 TEST(WireProtocol, RequestFrameGoldenBytes) {

@@ -21,44 +21,13 @@
 #include <vector>
 
 #include "common/telemetry/metrics.hpp"
-#include "flowgen/generator.hpp"
 #include "serve/net/client.hpp"
 #include "serve/net/server.hpp"
 #include "serve/observe/inspect.hpp"
+#include "support/toy_model.hpp"
 
 namespace repro::serve {
 namespace {
-
-diffusion::PipelineConfig tiny_config() {
-  diffusion::PipelineConfig cfg;
-  cfg.packets = 8;
-  cfg.autoencoder.hidden_dim = 48;
-  cfg.autoencoder.latent_dim = 8;
-  cfg.unet.base_channels = 8;
-  cfg.unet.temb_dim = 16;
-  cfg.unet.groups = 4;
-  cfg.timesteps = 20;
-  cfg.ae_epochs = 15;
-  cfg.diffusion_epochs = 3;
-  cfg.diffusion_batch = 4;
-  cfg.control_epochs = 2;
-  cfg.seed = 5;
-  return cfg;
-}
-
-flowgen::Dataset tiny_dataset(std::size_t per_class) {
-  Rng rng(77);
-  flowgen::Dataset ds;
-  for (std::size_t i = 0; i < per_class; ++i) {
-    net::Flow a = flowgen::generate_flow(flowgen::App::kNetflix, 8, rng);
-    a.label = 0;
-    ds.flows.push_back(std::move(a));
-    net::Flow b = flowgen::generate_flow(flowgen::App::kTeams, 8, rng);
-    b.label = 1;
-    ds.flows.push_back(std::move(b));
-  }
-  return ds;
-}
 
 /// Arrival order for a given worker count: a fixed permutation that
 /// differs per worker count (stride 5 is coprime with the set size), so
@@ -72,9 +41,7 @@ std::vector<std::size_t> arrival_order(std::size_t n, std::size_t salt) {
 class ShardTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    pipeline_ = std::make_shared<diffusion::TraceDiffusion>(
-        tiny_config(), std::vector<std::string>{"netflix", "teams"});
-    pipeline_->fit(tiny_dataset(6));
+    pipeline_ = toy::train();
   }
   static void TearDownTestSuite() { pipeline_.reset(); }
 

@@ -21,59 +21,14 @@
 #include "common/parallel/thread_pool.hpp"
 #include "common/telemetry/metrics.hpp"
 #include "common/telemetry/trace.hpp"
-#include "flowgen/generator.hpp"
+#include "flowgen/dataset.hpp"
 #include "nn/arena.hpp"
+#include "serve/net/protocol.hpp"
 #include "serve/observe/inspect.hpp"
+#include "support/toy_model.hpp"
 
 namespace repro::serve {
 namespace {
-
-diffusion::PipelineConfig tiny_config() {
-  diffusion::PipelineConfig cfg;
-  cfg.packets = 8;
-  cfg.autoencoder.hidden_dim = 48;
-  cfg.autoencoder.latent_dim = 8;
-  cfg.unet.base_channels = 8;
-  cfg.unet.temb_dim = 16;
-  cfg.unet.groups = 4;
-  cfg.timesteps = 20;
-  cfg.ae_epochs = 15;
-  cfg.diffusion_epochs = 3;
-  cfg.diffusion_batch = 4;
-  cfg.control_epochs = 2;
-  cfg.seed = 5;
-  return cfg;
-}
-
-flowgen::Dataset tiny_dataset(std::size_t per_class) {
-  Rng rng(77);
-  flowgen::Dataset ds;
-  for (std::size_t i = 0; i < per_class; ++i) {
-    net::Flow a = flowgen::generate_flow(flowgen::App::kNetflix, 8, rng);
-    a.label = 0;
-    ds.flows.push_back(std::move(a));
-    net::Flow b = flowgen::generate_flow(flowgen::App::kTeams, 8, rng);
-    b.label = 1;
-    ds.flows.push_back(std::move(b));
-  }
-  return ds;
-}
-
-std::uint64_t hash_flows(const std::vector<net::Flow>& flows) {
-  std::uint64_t h = kFnvOffset;
-  auto mix = [&h](const void* data, std::size_t size) {
-    h = fnv1a(data, size, h);
-  };
-  for (const auto& flow : flows) {
-    mix(&flow.label, sizeof(flow.label));
-    for (const auto& pkt : flow.packets) {
-      mix(&pkt.timestamp, sizeof(pkt.timestamp));
-      const auto wire = pkt.serialize();
-      mix(wire.data(), wire.size());
-    }
-  }
-  return h;
-}
 
 /// Calls of span `name` anywhere in the merged profile tree.
 std::uint64_t span_calls(const telemetry::SpanReport& node,
@@ -128,9 +83,7 @@ void expect_ledger_names_recorded(const telemetry::MetricsSnapshot& before,
 class ServeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    pipeline_ = std::make_shared<diffusion::TraceDiffusion>(
-        tiny_config(), std::vector<std::string>{"netflix", "teams"});
-    pipeline_->fit(tiny_dataset(6));
+    pipeline_ = toy::train();
     // Fit few-step stages (4- and 2-step students here) so the suite can
     // exercise the kDistilled serving path and its admission check.
     diffusion::DistillConfig dcfg;
@@ -184,7 +137,7 @@ TEST_F(ServeTest, ServedResponseMatchesLibraryBitExact) {
   for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
     parallel::set_thread_count(lanes);
     const std::uint64_t lib_hash =
-        hash_flows(pipeline_->generate_seeded(0, lib_opts, 42));
+        wire::hash_flows(pipeline_->generate_seeded(0, lib_opts, 42));
 
     ServiceConfig cfg = fast_config();
     cfg.cache_capacity = 0;  // force the full generation path
@@ -202,7 +155,7 @@ TEST_F(ServeTest, ServedResponseMatchesLibraryBitExact) {
     EXPECT_FALSE(response.cache_hit);
     EXPECT_EQ(response.model_version, "v1");
     EXPECT_GE(response.batch_flows, 3u);  // target coalesced with mate
-    EXPECT_EQ(hash_flows(response.flows), lib_hash)
+    EXPECT_EQ(wire::hash_flows(response.flows), lib_hash)
         << "served flows diverged from library at " << lanes << " lanes";
     if (lanes == 1) {
       reference = lib_hash;
@@ -272,7 +225,7 @@ TEST_F(ServeTest, RepeatedRequestIsCacheHitWithIdenticalPayload) {
   // A hit is ready immediately — no pump needed.
   const Response hit = second.response.get();
   EXPECT_TRUE(hit.cache_hit);
-  EXPECT_EQ(hash_flows(hit.flows), hash_flows(miss.flows));
+  EXPECT_EQ(wire::hash_flows(hit.flows), wire::hash_flows(miss.flows));
   EXPECT_EQ(service.stats().cache_hits.value(), hits_before + 1);
   EXPECT_EQ(service.pending(), 0u);
 
@@ -287,20 +240,21 @@ TEST_F(ServeTest, RepeatedRequestIsCacheHitWithIdenticalPayload) {
 TEST_F(ServeTest, CacheKeyNamesTheModel) {
   // Two registry entries may share a version string. A request to "b"
   // that matches an earlier request to "a" in everything but the model
-  // must run b's pipeline, not be answered from a's cached flows.
-  diffusion::PipelineConfig other_cfg = tiny_config();
+  // must run b's pipeline, not be answered from a's cached flows. b
+  // differs from a only in its initial weights (PipelineConfig::seed),
+  // fit on the same data, so the bytes tell the models apart only if
+  // they depend on the weights.
+  diffusion::PipelineConfig other_cfg = toy::config();
   other_cfg.seed = 6;
-  const auto other = std::make_shared<diffusion::TraceDiffusion>(
-      other_cfg, std::vector<std::string>{"netflix", "teams"});
-  other->fit(tiny_dataset(4));
+  const auto other = toy::train(other_cfg);
   registry_.install("a", pipeline_, "v1");
   registry_.install("b", other, "v1");
   diffusion::GenerateOptions lib_opts;
   lib_opts.ddim_steps = 4;
   const std::uint64_t a_hash =
-      hash_flows(pipeline_->generate_seeded(0, lib_opts, 321));
+      wire::hash_flows(pipeline_->generate_seeded(0, lib_opts, 321));
   const std::uint64_t b_hash =
-      hash_flows(other->generate_seeded(0, lib_opts, 321));
+      wire::hash_flows(other->generate_seeded(0, lib_opts, 321));
   ASSERT_NE(a_hash, b_hash);
 
   TraceService service(registry_, fast_config());
@@ -311,14 +265,14 @@ TEST_F(ServeTest, CacheKeyNamesTheModel) {
   auto first = service.submit(to_a);
   ASSERT_TRUE(first.accepted);
   service.drain();
-  EXPECT_EQ(hash_flows(first.response.get().flows), a_hash);
+  EXPECT_EQ(wire::hash_flows(first.response.get().flows), a_hash);
 
   auto second = service.submit(to_b);
   ASSERT_TRUE(second.accepted);
   service.drain();
   const Response resp = second.response.get();
   EXPECT_FALSE(resp.cache_hit);
-  EXPECT_EQ(hash_flows(resp.flows), b_hash);
+  EXPECT_EQ(wire::hash_flows(resp.flows), b_hash);
 }
 
 TEST_F(ServeTest, FullQueueRejectsTypedWithoutDroppingAcceptedWork) {
@@ -497,7 +451,7 @@ TEST_F(ServeTest, ServedDistilledMatchesLibraryBitExact) {
   lib_opts.ddim_steps = 4;
   lib_opts.sampler = diffusion::SamplerKind::kDistilled;
   const std::uint64_t lib_hash =
-      hash_flows(pipeline_->generate_seeded(0, lib_opts, 777));
+      wire::hash_flows(pipeline_->generate_seeded(0, lib_opts, 777));
 
   ServiceConfig cfg = fast_config();
   cfg.cache_capacity = 0;
@@ -513,7 +467,7 @@ TEST_F(ServeTest, ServedDistilledMatchesLibraryBitExact) {
   const Response resp = target.response.get();
   ASSERT_EQ(resp.status, ResponseStatus::kOk);
   EXPECT_GE(resp.batch_flows, 3u);  // coalesced with the mate
-  EXPECT_EQ(hash_flows(resp.flows), lib_hash);
+  EXPECT_EQ(wire::hash_flows(resp.flows), lib_hash);
 }
 
 TEST_F(ServeTest, DistilledAdmissionRejectsUnfittedStepCount) {
@@ -636,8 +590,8 @@ TEST_F(ServeTest, BackgroundWorkerServesSubmissions) {
   diffusion::GenerateOptions lib_opts;
   lib_opts.count = 1;
   lib_opts.ddim_steps = 4;
-  EXPECT_EQ(hash_flows(resp.flows),
-            hash_flows(pipeline_->generate_seeded(0, lib_opts, 31337)));
+  EXPECT_EQ(wire::hash_flows(resp.flows),
+            wire::hash_flows(pipeline_->generate_seeded(0, lib_opts, 31337)));
 }
 
 TEST_F(ServeTest, TracingOnOrOffNeverChangesServedBits) {
@@ -673,8 +627,8 @@ TEST_F(ServeTest, TracingOnOrOffNeverChangesServedBits) {
       const Response rb = b.response.get();
       ASSERT_EQ(ra.status, ResponseStatus::kOk);
       ASSERT_EQ(rb.status, ResponseStatus::kOk);
-      std::uint64_t h = hash_flows(ra.flows);
-      h ^= hash_flows(rb.flows) * kFnvPrime;
+      std::uint64_t h = wire::hash_flows(ra.flows);
+      h ^= wire::hash_flows(rb.flows) * kFnvPrime;
       hashes[traced ? 1 : 0] = h;
       // Traced run actually recorded a timeline; untraced recorded none.
       EXPECT_EQ(service.flight_recorder().recorded() > 0, traced);

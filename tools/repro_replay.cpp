@@ -28,6 +28,7 @@
 #include "replay/functions.hpp"
 #include "serve/registry.hpp"
 #include "serve/service.hpp"
+#include "support/toy_model.hpp"
 
 using namespace repro;
 using replay::emit::Arrival;
@@ -89,39 +90,6 @@ void print_report(const EmitReport& report) {
       report.conserved() ? "yes" : "NO");
 }
 
-diffusion::PipelineConfig toy_config() {
-  diffusion::PipelineConfig cfg;
-  cfg.packets = 8;
-  cfg.autoencoder.hidden_dim = 48;
-  cfg.autoencoder.latent_dim = 8;
-  cfg.unet.base_channels = 8;
-  cfg.unet.temb_dim = 16;
-  cfg.unet.groups = 4;
-  cfg.timesteps = 20;
-  cfg.ae_epochs = 10;
-  cfg.diffusion_epochs = 2;
-  cfg.control_epochs = 1;
-  cfg.seed = 5;
-  return cfg;
-}
-
-std::shared_ptr<diffusion::TraceDiffusion> train_toy_model() {
-  Rng rng(77);
-  flowgen::Dataset ds;
-  for (std::size_t i = 0; i < 5; ++i) {
-    net::Flow a = flowgen::generate_flow(flowgen::App::kNetflix, 8, rng);
-    a.label = 0;
-    ds.flows.push_back(std::move(a));
-    net::Flow b = flowgen::generate_flow(flowgen::App::kTeams, 8, rng);
-    b.label = 1;
-    ds.flows.push_back(std::move(b));
-  }
-  auto pipeline = std::make_shared<diffusion::TraceDiffusion>(
-      toy_config(), std::vector<std::string>{"netflix", "teams"});
-  pipeline->fit(ds);
-  return pipeline;
-}
-
 int run(const Options& opt) {
   // Source.
   std::vector<net::Flow> flows;
@@ -130,7 +98,7 @@ int run(const Options& opt) {
   std::unique_ptr<replay::emit::FlowSource> source;
   if (opt.source == "served") {
     std::printf("training toy model for the served source...\n");
-    registry.install("default", train_toy_model(), "replay-v1");
+    registry.install("default", toy::train(), "replay-v1");
     serve::ServiceConfig service_config;
     service = std::make_unique<serve::TraceService>(registry, service_config);
     replay::emit::ServedSourceConfig src;

@@ -31,50 +31,15 @@
 #include <vector>
 
 #include "common/env.hpp"
-#include "common/rng.hpp"
 #include "common/telemetry/export.hpp"
 #include "common/telemetry/metrics.hpp"
-#include "flowgen/dataset.hpp"
-#include "flowgen/generator.hpp"
 #include "serve/net/server.hpp"
 #include "serve/service.hpp"
+#include "support/toy_model.hpp"
 
 using namespace repro;
 
 namespace {
-
-diffusion::PipelineConfig toy_config() {
-  diffusion::PipelineConfig cfg;
-  cfg.packets = 8;
-  cfg.autoencoder.hidden_dim = 48;
-  cfg.autoencoder.latent_dim = 8;
-  cfg.unet.base_channels = 8;
-  cfg.unet.temb_dim = 16;
-  cfg.unet.groups = 4;
-  cfg.timesteps = 20;
-  cfg.ae_epochs = 10;
-  cfg.diffusion_epochs = 2;
-  cfg.control_epochs = 1;
-  cfg.seed = 5;
-  return cfg;
-}
-
-std::shared_ptr<diffusion::TraceDiffusion> train_toy_model() {
-  Rng rng(77);
-  flowgen::Dataset ds;
-  for (std::size_t i = 0; i < 5; ++i) {
-    net::Flow a = flowgen::generate_flow(flowgen::App::kNetflix, 8, rng);
-    a.label = 0;
-    ds.flows.push_back(std::move(a));
-    net::Flow b = flowgen::generate_flow(flowgen::App::kTeams, 8, rng);
-    b.label = 1;
-    ds.flows.push_back(std::move(b));
-  }
-  auto pipeline = std::make_shared<diffusion::TraceDiffusion>(
-      toy_config(), std::vector<std::string>{"netflix", "teams"});
-  pipeline->fit(ds);
-  return pipeline;
-}
 
 std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> out;
@@ -150,12 +115,12 @@ int run(int argc, char** argv) {
                    "repro_served: --checkpoint requires --classes a,b,...\n");
       return 2;
     }
-    registry.load_checkpoint("default", toy_config(), class_names,
+    registry.load_checkpoint("default", toy::config(), class_names,
                              checkpoint, "ckpt-v1", lora_path);
     std::printf("serve: loaded checkpoint '%s' (%zu classes)\n",
                 checkpoint.c_str(), class_names.size());
   } else {
-    registry.install("default", train_toy_model(), "toy-v1");
+    registry.install("default", toy::train(), "toy-v1");
     std::printf("serve: trained toy model (2 classes)\n");
   }
 
